@@ -10,7 +10,7 @@
 //
 // `--cart-store [--threads N] [--seconds S] [--json PATH]` runs the
 // application-level ablation instead: the boutique's cart-touching chains
-// over RPC vs the RDMA-resident state store (control/cartstore_bench.hpp).
+// over RPC vs the RDMA-resident state store (scenarios/cartstore_bench.hpp).
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -23,7 +23,7 @@
 #include "core/onesided.hpp"
 #include "proto/cost_model.hpp"
 #include "rdma/rnic.hpp"
-#include "control/cartstore_bench.hpp"
+#include "scenarios/cartstore_bench.hpp"
 
 namespace {
 

@@ -1,5 +1,5 @@
 // Overload-scenario sweep driver (ISSUE 7): runs the deterministic
-// scenarios from src/control/scenario.hpp and emits their integer-only
+// scenarios from bench/scenarios/scenario.hpp and emits their integer-only
 // JSON artifacts for the golden gate.
 //
 //   $ ./bench/overload_scenarios --scenario noisy_neighbor --control on
@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "control/scenario.hpp"
+#include "scenarios/scenario.hpp"
 
 using namespace pd;
 

@@ -22,12 +22,14 @@
 //   perf_gate --nodes N --cells C --clients K --switch S
 //                             custom scale point (S = workers per leaf
 //                             switch, 0 = flat fabric)
+//   perf_gate --threads N     OS threads driving the sharded simulation
+//                             (default 1; results are identical for any N)
 //
 // The simulated p50/p99 double as a determinism tripwire: they depend only
-// on the model, so any drift means behavior changed, not just speed. In
-// sharded runs the pdes_* row fields (epochs, skip-ahead epochs, mailbox
-// messages) are deterministic too — bench_gate.sh diffs them against a
-// golden; pdes_barrier_wait_ms is wall clock and stays out of diffs.
+// on the model, so any drift means behavior changed, not just speed. The
+// pdes_* row fields (epochs, skip-ahead epochs, mailbox messages) are
+// deterministic too — bench_gate.sh diffs them against a golden;
+// pdes_barrier_wait_ms is wall clock and stays out of diffs.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -44,7 +46,6 @@
 #include <tuple>
 #include <vector>
 
-#include "fabric/fabric.hpp"
 #include "ingress/palladium_ingress.hpp"
 #include "obs/hub.hpp"
 #include "runtime/boutique.hpp"
@@ -63,7 +64,7 @@ struct LoadSpec {
   int clients = 8;
   sim::Duration warm_ns = 0;
   sim::Duration run_ns = 0;
-  int threads = 0;  ///< 0 = legacy single-scheduler run
+  int threads = 1;
   int nodes = 2;
   int cells = 1;
   std::size_t nodes_per_switch = 0;  ///< 0 = flat single-switch fabric
@@ -71,11 +72,6 @@ struct LoadSpec {
   /// intra-leaf chain traffic goes shard-local and every cross-shard link
   /// is a multi-us spine crossing — the epoch-rate collapse at scale.
   bool leaf_shards = false;
-  /// Reproduce the PR 4 protocol — uniform flat lookahead (701 ns
-  /// everywhere) plus the old horizon formula — as the A/B baseline for the
-  /// pdes_epochs reduction claim. Simulated latencies agree with the
-  /// adaptive protocol; only protocol cost differs.
-  bool legacy_horizon = false;
 };
 
 struct LoadResult {
@@ -90,10 +86,10 @@ struct LoadResult {
   /// json so a PR that trades latency for queue growth is visible.
   double peak_tx_backlog = 0;
   double peak_pool_in_use = 0;
-  /// PDES protocol cost over the measured window (sharded runs only; all
-  /// deterministic except barrier_wait). Epochs per simulated second is
-  /// the number that bounds what real cores can win — ISSUE 9's >=5x
-  /// reduction claim is checked on exactly this field.
+  /// PDES protocol cost over the measured window (all deterministic except
+  /// barrier_wait). Epochs per simulated second is the number that bounds
+  /// what real cores can win — the >=5x epoch-reduction claim is checked on
+  /// exactly this field.
   std::uint64_t pdes_epochs = 0;
   std::uint64_t pdes_skip_ahead_epochs = 0;
   std::uint64_t pdes_mailbox_msgs = 0;
@@ -115,40 +111,27 @@ struct LoadResult {
   }
 };
 
-/// `spec.threads` == 0 runs the legacy single-scheduler simulation; > 0
-/// shards the cluster (one shard per node plus the edge shard) across that
-/// many OS threads via the epoch-barrier parallel loop. Simulated results
-/// are identical for every threads > 0 value; only wall-clock changes.
+/// Shards the cluster (one shard per node, or per leaf switch, plus the
+/// edge shard) across `spec.threads` OS threads via the epoch-barrier
+/// parallel loop. Simulated results are identical for every thread count;
+/// only wall-clock changes.
 LoadResult run_load(const LoadSpec& spec) {
-  std::unique_ptr<sim::ParallelSim> psim;
-  std::unique_ptr<sim::Scheduler> solo;
   runtime::ClusterConfig cfg;
   cfg.cpu_cores_per_node = 16;
   cfg.pool_buffers = 2048;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.topology.nodes_per_switch = spec.nodes_per_switch;
-  std::unique_ptr<runtime::Cluster> cluster;
-  sim::Scheduler* sched = nullptr;
-  if (spec.threads > 0) {
-    std::size_t shards = 1 + static_cast<std::size_t>(spec.nodes);
-    if (spec.leaf_shards) {
-      cfg.shard_mapping = runtime::ShardMapping::kLeafPerShard;
-      shards = 1 + (static_cast<std::size_t>(spec.nodes) +
-                    spec.nodes_per_switch - 1) /
-                       spec.nodes_per_switch;
-    }
-    psim = std::make_unique<sim::ParallelSim>(
-        shards, /*os_threads=*/static_cast<unsigned>(spec.threads));
-    if (spec.legacy_horizon) {
-      psim->set_horizon_policy(sim::HorizonPolicy::kLegacy);
-    }
-    cluster = std::make_unique<runtime::Cluster>(*psim, cfg);
-    sched = &psim->shard(0);
-  } else {
-    solo = std::make_unique<sim::Scheduler>();
-    sched = solo.get();
-    cluster = std::make_unique<runtime::Cluster>(*sched, cfg);
+  std::size_t shards = 1 + static_cast<std::size_t>(spec.nodes);
+  if (spec.leaf_shards) {
+    cfg.shard_mapping = runtime::ShardMapping::kLeafPerShard;
+    shards = 1 + (static_cast<std::size_t>(spec.nodes) +
+                  spec.nodes_per_switch - 1) /
+                     spec.nodes_per_switch;
   }
+  sim::ParallelSim psim(shards,
+                        /*os_threads=*/static_cast<unsigned>(spec.threads));
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
+  sim::Scheduler& sched = psim.shard(0);
   std::vector<NodeId> nodes;
   nodes.reserve(static_cast<std::size_t>(spec.nodes));
   for (int i = 0; i < spec.nodes; ++i) {
@@ -183,17 +166,10 @@ LoadResult run_load(const LoadSpec& spec) {
   }
   ing.finish_setup();
   cluster->finish_setup();
-  if (psim && spec.legacy_horizon) {
-    // PR 4 baseline: overwrite the adaptive per-pair matrix with the old
-    // uniform flat-fabric lookahead (the kLegacy formula set above already
-    // reproduces the old horizon arithmetic).
-    psim->set_lookahead(fabric::cross_node_lookahead());
-  }
 
-  // Flight recorder: sample queue depth / pool occupancy in simulated
-  // time. Legacy mode records into the installed hub; parallel mode into
-  // the per-shard hubs, merged below. The sampler is a handful of pure
-  // reads per simulated millisecond — noise next to the event loop.
+  // Flight recorder: sample queue depth / pool occupancy in simulated time
+  // into the per-shard hubs, merged below. The sampler is a handful of
+  // pure reads per simulated millisecond — noise next to the event loop.
   obs::Hub hub;
   obs::Session session(hub);
   cluster->start_flight_recorder({});
@@ -211,60 +187,46 @@ LoadResult run_load(const LoadSpec& spec) {
     wcfg.target = route(cell.index);
     wcfg.body = std::string(128, 'x');
     wcfg.client_cores = n;
-    auto gen = std::make_unique<workload::HttpLoadGen>(*sched, ing, wcfg);
+    auto gen = std::make_unique<workload::HttpLoadGen>(sched, ing, wcfg);
     gen->add_clients(n);
     gens.push_back(std::move(gen));
   }
 
-  const auto run_until = [&](sim::TimePoint t) {
-    if (psim) {
-      psim->run_until(t);
-    } else {
-      sched->run_until(t);
-    }
-  };
-  const auto events_done = [&] {
-    return psim ? psim->events_processed() : sched->events_processed();
-  };
   const auto requests_done = [&] {
     std::uint64_t total = 0;
     for (const auto& g : gens) total += g->latencies().count();
     return total;
   };
 
-  run_until(sched->now() + spec.warm_ns);
-  const auto start = sched->now();
-  const auto events0 = events_done();
+  psim.run_until(sched.now() + spec.warm_ns);
+  const auto start = sched.now();
+  const auto events0 = psim.events_processed();
   const auto requests0 = requests_done();
-  const std::uint64_t epochs0 = psim ? psim->epochs() : 0;
-  const std::uint64_t skip0 = psim ? psim->skip_ahead_epochs() : 0;
-  const std::uint64_t msgs0 = psim ? psim->mailbox_msgs() : 0;
-  const std::uint64_t barrier0 = psim ? psim->barrier_wait_ns() : 0;
+  const std::uint64_t epochs0 = psim.epochs();
+  const std::uint64_t skip0 = psim.skip_ahead_epochs();
+  const std::uint64_t msgs0 = psim.mailbox_msgs();
+  const std::uint64_t barrier0 = psim.barrier_wait_ns();
   const auto wall0 = std::chrono::steady_clock::now();
-  run_until(start + spec.run_ns);
+  psim.run_until(start + spec.run_ns);
   const auto wall1 = std::chrono::steady_clock::now();
 
   LoadResult r;
   r.spec = spec;
   r.wall_sec = std::chrono::duration<double>(wall1 - wall0).count();
-  r.events = events_done() - events0;
+  r.events = psim.events_processed() - events0;
   r.requests = requests_done() - requests0;
   sim::LatencyHistogram merged;
   for (const auto& g : gens) merged.merge(g->latencies());
   r.sim_p50_ms = static_cast<double>(merged.quantile(0.5)) / 1e6;
   r.sim_p99_ms = static_cast<double>(merged.quantile(0.99)) / 1e6;
-  if (psim) {
-    r.pdes_epochs = psim->epochs() - epochs0;
-    r.pdes_skip_ahead_epochs = psim->skip_ahead_epochs() - skip0;
-    r.pdes_mailbox_msgs = psim->mailbox_msgs() - msgs0;
-    r.pdes_barrier_wait_ms =
-        static_cast<double>(psim->barrier_wait_ns() - barrier0) / 1e6;
-  }
+  r.pdes_epochs = psim.epochs() - epochs0;
+  r.pdes_skip_ahead_epochs = psim.skip_ahead_epochs() - skip0;
+  r.pdes_mailbox_msgs = psim.mailbox_msgs() - msgs0;
+  r.pdes_barrier_wait_ms =
+      static_cast<double>(psim.barrier_wait_ns() - barrier0) / 1e6;
   for (auto& g : gens) g->stop();
-  if (psim) {
-    psim->run();
-    cluster->merge_observability(hub);
-  }
+  psim.run();
+  cluster->merge_observability(hub);
   r.peak_tx_backlog = hub.timeseries.peak_over("engine.tx_backlog");
   r.peak_pool_in_use = hub.timeseries.peak_over("pool.in_use");
   return r;
@@ -323,14 +285,12 @@ std::string emit_json(const std::vector<LoadResult>& results) {
        << ", \"sim_p50_ms\": " << r.sim_p50_ms
        << ", \"sim_p99_ms\": " << r.sim_p99_ms
        << ", \"peak_tx_backlog\": " << r.peak_tx_backlog
-       << ", \"peak_pool_in_use\": " << r.peak_pool_in_use;
-    if (r.spec.threads > 0) {
-      os << ", \"pdes_epochs\": " << r.pdes_epochs
-         << ", \"pdes_epochs_per_sim_sec\": " << r.epochs_per_sim_sec()
-         << ", \"pdes_skip_ahead_epochs\": " << r.pdes_skip_ahead_epochs
-         << ", \"pdes_mailbox_msgs\": " << r.pdes_mailbox_msgs
-         << ", \"pdes_barrier_wait_ms\": " << r.pdes_barrier_wait_ms;
-    }
+       << ", \"peak_pool_in_use\": " << r.peak_pool_in_use
+       << ", \"pdes_epochs\": " << r.pdes_epochs
+       << ", \"pdes_epochs_per_sim_sec\": " << r.epochs_per_sim_sec()
+       << ", \"pdes_skip_ahead_epochs\": " << r.pdes_skip_ahead_epochs
+       << ", \"pdes_mailbox_msgs\": " << r.pdes_mailbox_msgs
+       << ", \"pdes_barrier_wait_ms\": " << r.pdes_barrier_wait_ms;
     if (r.runs_wall_sec.size() > 1) {
       os << ", \"runs_wall_sec\": [";
       for (std::size_t j = 0; j < r.runs_wall_sec.size(); ++j) {
@@ -438,13 +398,12 @@ int check_against(const std::string& path, const std::string& current_json) {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool scale = false;
-  int threads = 0;
+  int threads = 1;
   int repeat = 0;  // 0 = mode default (3 full sweep, 1 smoke/scale)
   int nodes = 0;
   int cells = 0;
   int clients = 0;
   long per_switch = -1;
-  bool legacy_horizon = false;
   bool node_shards = false;
   std::string json_path;
   std::string check_path;
@@ -474,8 +433,6 @@ int main(int argc, char** argv) {
       clients = int_arg(i);
     } else if (std::strcmp(argv[i], "--switch") == 0 && i + 1 < argc) {
       per_switch = std::atol(argv[++i]);
-    } else if (std::strcmp(argv[i], "--legacy-horizon") == 0) {
-      legacy_horizon = true;
     } else if (std::strcmp(argv[i], "--node-shards") == 0) {
       node_shards = true;
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -485,7 +442,7 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: perf_gate [--smoke | --scale] [--threads N] "
                    "[--repeat N] [--nodes N] [--cells N] [--clients N] "
-                   "[--switch N] [--legacy-horizon] [--node-shards] "
+                   "[--switch N] [--node-shards] "
                    "[--json FILE] [--check FILE]\n";
       return 2;
     }
@@ -493,18 +450,11 @@ int main(int argc, char** argv) {
 
   LoadSpec spec;
   spec.threads = threads;
-  spec.legacy_horizon = legacy_horizon;
-  if (legacy_horizon && threads == 0 && !scale) {
-    std::cerr << "perf_gate: --legacy-horizon needs --threads (it selects "
-                 "the sharded horizon formula)\n";
-    return 2;
-  }
   if (scale) {
     // The ISSUE 9 scale point: 32 workers on 4 leaves, 16 boutique cells,
-    // leaf-affine placement, one shard per leaf. Sharded by construction —
-    // the per-pair lookahead matrix and leaf sharding are what make this
-    // tractable (--node-shards reverts to one shard per node).
-    if (threads == 0) spec.threads = 1;
+    // leaf-affine placement, one shard per leaf — the per-pair lookahead
+    // matrix and leaf sharding are what make this tractable
+    // (--node-shards reverts to one shard per node).
     spec.nodes = 32;
     spec.cells = 16;
     spec.nodes_per_switch = 8;
@@ -518,11 +468,6 @@ int main(int argc, char** argv) {
   spec.leaf_shards = spec.nodes_per_switch > 0 && !node_shards;
   if (spec.nodes < 2 || spec.cells < 1) {
     std::cerr << "perf_gate: need >= 2 nodes and >= 1 cell\n";
-    return 2;
-  }
-  if (spec.threads == 0 && (spec.nodes != 2 || spec.cells != 1)) {
-    std::cerr << "perf_gate: scale points (custom --nodes/--cells) need "
-                 "--threads (the legacy path is the 2-node baseline)\n";
     return 2;
   }
 
@@ -556,13 +501,9 @@ int main(int argc, char** argv) {
               << static_cast<std::uint64_t>(r.events_per_sec())
               << " events/s wall, " << r.events_per_request()
               << " events/req, sim p50 " << r.sim_p50_ms << " ms, p99 "
-              << r.sim_p99_ms << " ms";
-    if (r.spec.threads > 0) {
-      std::cerr << ", " << r.pdes_epochs << " epochs ("
-                << static_cast<std::uint64_t>(r.epochs_per_sim_sec())
-                << "/sim-s, " << r.pdes_skip_ahead_epochs << " skip-ahead)";
-    }
-    std::cerr << "\n";
+              << r.sim_p99_ms << " ms, " << r.pdes_epochs << " epochs ("
+              << static_cast<std::uint64_t>(r.epochs_per_sim_sec())
+              << "/sim-s, " << r.pdes_skip_ahead_epochs << " skip-ahead)\n";
   }
 
   const std::string json = emit_json(results);

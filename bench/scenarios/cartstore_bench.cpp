@@ -1,4 +1,4 @@
-#include "control/cartstore_bench.hpp"
+#include "scenarios/cartstore_bench.hpp"
 
 #include <cstdio>
 #include <memory>
@@ -52,18 +52,11 @@ CartAblationResult::ModeRow run_mode(bool use_store,
   obs::Hub hub;
   obs::Session session(hub);
 
-  sim::Scheduler serial_sched;
-  std::unique_ptr<sim::ParallelSim> psim;
-  if (opts.threads > 0) {
-    psim = std::make_unique<sim::ParallelSim>(3, opts.threads);
-  }
-
+  sim::ParallelSim psim(3, opts.threads);
   ClusterConfig cfg;
   cfg.system = SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 16;
-  auto cluster = psim != nullptr
-                     ? std::make_unique<Cluster>(*psim, cfg)
-                     : std::make_unique<Cluster>(serial_sched, cfg);
+  auto cluster = std::make_unique<Cluster>(psim, cfg);
   sim::Scheduler& sched = cluster->scheduler();
   cluster->add_worker(kHotNode);
   cluster->add_worker(kColdNode);
@@ -91,15 +84,9 @@ CartAblationResult::ModeRow run_mode(bool use_store,
     gens.back()->add_clients(p.clients);
   }
 
-  if (psim != nullptr) {
-    psim->run_until(horizon);
-    for (auto& g : gens) g->stop();
-    psim->run();
-  } else {
-    sched.run_until(horizon);
-    for (auto& g : gens) g->stop();
-    sched.run();
-  }
+  psim.run_until(horizon);
+  for (auto& g : gens) g->stop();
+  psim.run();
 
   CartAblationResult::ModeRow row;
   row.mode = use_store ? "store" : "rpc";

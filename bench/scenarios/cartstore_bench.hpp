@@ -20,9 +20,9 @@
 namespace pd::control {
 
 struct CartAblationOptions {
-  /// 0 = legacy single-scheduler run; N > 0 = sharded ParallelSim over N
-  /// OS threads (bit-identical results for every N).
-  std::size_t threads = 0;
+  /// OS threads driving the sharded ParallelSim (bit-identical results for
+  /// every count; 0 = one per hardware thread).
+  std::size_t threads = 1;
   std::int64_t seconds = 2;
 };
 

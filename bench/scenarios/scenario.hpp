@@ -2,7 +2,7 @@
 //
 // Four canned overload shapes against the Online Boutique deployment, each
 // runnable with the control loop (autoscalers + per-tenant admission) off
-// or on, serial or sharded. A run produces an OverloadResult whose json()
+// or on, at any worker-thread count. A run produces an OverloadResult whose json()
 // is integer-only and byte-identical across --threads 1/2/4 — the
 // before/after SLO tables the overload gate diffs.
 //
@@ -43,9 +43,9 @@ const std::vector<OverloadScenario>& all_scenarios();
 
 struct OverloadOptions {
   OverloadScenario scenario = OverloadScenario::kFlashCrowd;
-  /// 0 = legacy single-scheduler run; N > 0 = sharded ParallelSim over N
-  /// OS threads (bit-identical results for every N).
-  std::size_t threads = 0;
+  /// OS threads driving the sharded ParallelSim (bit-identical results for
+  /// every count; 0 = one per hardware thread).
+  std::size_t threads = 1;
   /// false = open loop: no autoscalers, no admission gate (the "before"
   /// column); true = the full ISSUE 7 control loop (the "after" column).
   bool control = true;

@@ -35,7 +35,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "control/scenario.hpp"
 #include "fault/fault.hpp"
 #include "ingress/palladium_ingress.hpp"
 #include "obs/critpath.hpp"
@@ -43,6 +42,7 @@
 #include "runtime/boutique.hpp"
 #include "runtime/function.hpp"
 #include "runtime/metrics_export.hpp"
+#include "scenarios/scenario.hpp"
 #include "sim/parallel.hpp"
 #include "workload/http_client.hpp"
 
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   bool strict = false;
   bool ledger = false;
   std::uint64_t chaos_seed = 0;
-  std::size_t threads = 0;  // 0 = legacy single-scheduler simulation
+  std::size_t threads = 1;
   std::int64_t seconds = 5;
   std::string prefix = "boutique";
   std::string overload;
@@ -120,35 +120,25 @@ int main(int argc, char** argv) {
   // dump a full metrics snapshot alongside.
   obs::Hub hub;
   std::unique_ptr<obs::Session> session;
-  std::unique_ptr<obs::ProfileSession> profiling;
   if (observing) {
-    // In parallel mode the per-shard hubs do the recording (merged into
-    // `hub` after the run); the globally installed hub must not sample.
-    hub.tracer.set_sample_every(threads == 0 && tracing ? 500 : 0);
+    // The per-shard hubs do the recording (merged into `hub` after the
+    // run); the globally installed hub must not sample.
+    hub.tracer.set_sample_every(0);
     session = std::make_unique<obs::Session>(hub);
   }
-  if (flame) profiling = std::make_unique<obs::ProfileSession>(hub.profiler);
 
-  // Legacy mode runs everything on one scheduler; --threads N shards the
-  // cluster (edge + one shard per worker) across N OS threads with
-  // bit-identical simulated results for every N.
-  sim::Scheduler serial_sched;
-  std::unique_ptr<sim::ParallelSim> psim;
-  if (threads > 0) psim = std::make_unique<sim::ParallelSim>(3, threads);
-
+  // The cluster shards (edge + one shard per worker) across --threads OS
+  // threads with bit-identical simulated results for every count.
+  sim::ParallelSim psim(3, static_cast<unsigned>(threads));
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 16;
-  auto cluster = psim != nullptr
-                     ? std::make_unique<runtime::Cluster>(*psim, cfg)
-                     : std::make_unique<runtime::Cluster>(serial_sched, cfg);
+  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
   sim::Scheduler& sched = cluster->scheduler();
   cluster->add_worker(NodeId{1});
   cluster->add_worker(NodeId{2});
-  if (psim != nullptr) {
-    if (tracing) cluster->enable_shard_tracing(500);
-    if (flame) cluster->enable_shard_profiling();
-  }
+  if (tracing) cluster->enable_shard_tracing(500);
+  if (flame) cluster->enable_shard_profiling();
 
   // Hot functions (frontend/checkout/recommendation) on node 1, the other
   // seven on node 2 — the paper's placement.
@@ -165,13 +155,9 @@ int main(int argc, char** argv) {
   gateway.expose_chain("/checkout", runtime::OnlineBoutique::kCheckoutChain);
   gateway.finish_setup();
   cluster->finish_setup();
-  std::unique_ptr<obs::LedgerSession> ledger_session;
   if (ledger) {
     cluster->enable_ledger();
     gateway.attach_pool_clock();
-    if (psim == nullptr) {
-      ledger_session = std::make_unique<obs::LedgerSession>(hub.ledger);
-    }
   }
   if (timeline) {
     // 1 ms sampling over the whole topology: engines, RNICs, buffer pools,
@@ -232,32 +218,19 @@ int main(int argc, char** argv) {
     gens.back()->add_clients(page.clients);
   }
 
-  if (psim != nullptr) {
-    psim->run_until(horizon);
-    for (auto& g : gens) g->stop();
-    psim->run();
-  } else {
-    sched.run_until(horizon);
-    for (auto& g : gens) g->stop();
-    sched.run();
-  }
+  psim.run_until(horizon);
+  for (auto& g : gens) g->stop();
+  psim.run();
   if (ledger) {
     cluster->collect_pool_slot_ns();
-    if (obs::Hub* eh = cluster->edge_hub()) {
-      gateway.collect_pool_slot_ns(eh->ledger);
-    }
+    gateway.collect_pool_slot_ns(cluster->edge_hub()->ledger);
   }
-  if (psim != nullptr) {
-    cluster->merge_observability(hub);
-  } else if (observing) {
-    hub.slo.finish(sched.now());
-  }
+  cluster->merge_observability(hub);
 
   const double secs = static_cast<double>(seconds);
   std::printf("Online Boutique over Palladium (DNE), %lld s, 32 HTTP clients",
               static_cast<long long>(seconds));
-  if (threads > 0) std::printf(", %zu sim threads", threads);
-  std::printf(":\n");
+  std::printf(", %u sim threads:\n", psim.os_threads());
   for (std::size_t i = 0; i < gens.size(); ++i) {
     std::printf("  %-10s %6.0f RPS  mean %6.2f ms  p99 %6.2f ms\n",
                 pages[i].target,

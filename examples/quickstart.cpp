@@ -8,20 +8,22 @@
 #include "runtime/boutique.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/function.hpp"
+#include "sim/parallel.hpp"
 #include "workload/driver.hpp"
 
 using namespace pd;
 
 int main() {
-  // 1. A deterministic simulated cluster: every node, NIC and DPU share
-  //    one virtual clock.
-  sim::Scheduler sched;
+  // 1. A deterministic simulated cluster: one scheduler shard for the edge
+  //    plus one per worker node, all on one virtual clock (results are
+  //    bit-identical for any number of OS threads driving them).
+  sim::ParallelSim psim(/*shards=*/3);
 
   // 2. Two worker nodes running Palladium's DPU network engine (DNE).
   runtime::ClusterConfig cfg;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   cfg.cpu_cores_per_node = 8;
-  runtime::Cluster cluster(sched, cfg);
+  runtime::Cluster cluster(psim, cfg);
   cluster.add_worker(NodeId{1});
   cluster.add_worker(NodeId{2});
 
@@ -46,9 +48,9 @@ int main() {
   cluster.finish_setup();  // RC connection pools, routing sync
 
   driver.start(8);
-  sched.run_until(2'000'000'000);  // 2 s of virtual time
+  psim.run_until(2'000'000'000);  // 2 s of virtual time
   driver.stop();
-  sched.run();
+  psim.run();
 
   // 6. Results.
   std::printf("thumbnail chain, 8 closed-loop clients, 2 s:\n");

@@ -92,7 +92,7 @@ struct FlightConfig {
 
 /// Registry of FlightSeries plus the periodic sampler that feeds them.
 /// One recorder per obs::Hub: shard-local under ParallelSim (merged
-/// deterministically by Cluster::merge_observability), global otherwise.
+/// deterministically by Cluster::merge_observability).
 class FlightRecorder {
  public:
   FlightRecorder() = default;

@@ -62,12 +62,10 @@ class RdmaNetwork {
   [[nodiscard]] sim::Scheduler& scheduler_for(NodeId node);
 
   /// Install the cross-shard delivery hook (forwarded to the fabric switch;
-  /// see fabric::Switch::set_remote_post). Installing it marks the network
-  /// sharded.
+  /// see fabric::Switch::set_remote_post).
   void set_remote_post(fabric::Switch::RemotePost post);
-  [[nodiscard]] bool sharded() const { return remote_post_ != nullptr; }
   /// Run `fn` at absolute simulated time `t` on the shard owning `node`
-  /// (plain local schedule when not sharded).
+  /// (a plain local schedule when no hook is installed).
   void post_to_node(NodeId node, sim::TimePoint t, sim::EventFn fn);
 
   /// Nodes with a registered RNIC, sorted by id — a deterministic
@@ -195,8 +193,7 @@ class Rnic {
 
   [[nodiscard]] NodeId node() const { return node_; }
   [[nodiscard]] RdmaNetwork& network() { return net_; }
-  /// The scheduler shard this RNIC's events run on (node-local in sharded
-  /// mode, the cluster scheduler otherwise).
+  /// The scheduler shard this RNIC's events run on (its node's shard).
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] mem::MemoryDomain& host_mem() { return host_mem_; }
   [[nodiscard]] const RnicCounters& counters() const { return counters_; }

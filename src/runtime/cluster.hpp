@@ -66,9 +66,10 @@ struct ClusterConfig {
   /// parallel simulator turns the same per-pair distances into its
   /// lookahead matrix.
   fabric::TopologyConfig topology{};
-  /// How workers map onto parallel-simulator shards. kNodePerShard (the
-  /// default, and the only option on a flat fabric) gives every worker its
-  /// own shard. kLeafPerShard puts each leaf switch's workers in one shard:
+  /// How workers map onto parallel-simulator shards (ignored on a
+  /// one-shard ParallelSim, which hosts every worker on shard 0).
+  /// kNodePerShard (the default, and the only option on a flat fabric)
+  /// gives every worker its own shard. kLeafPerShard puts each leaf switch's workers in one shard:
   /// intra-leaf traffic — a leaf-affine cell's entire chain ping-pong —
   /// becomes shard-local and leaves the epoch protocol entirely, while
   /// every remaining cross-shard link is a spine crossing whose multi-us
@@ -90,8 +91,7 @@ class WorkerNode {
   WorkerNode(Cluster& cluster, NodeId id);
 
   [[nodiscard]] NodeId id() const { return id_; }
-  /// The scheduler shard this node's events run on (the cluster scheduler
-  /// in legacy mode, the node's own shard in parallel mode).
+  /// The scheduler shard this node's events run on.
   [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
   [[nodiscard]] mem::MemoryDomain& memory() { return mem_; }
   [[nodiscard]] sim::CoreSet& cpu() { return cpu_; }
@@ -135,15 +135,14 @@ struct FunctionSpec {
 
 class Cluster {
  public:
-  Cluster(sim::Scheduler& sched, ClusterConfig config);
-  /// Parallel mode (PR 4 tentpole): the cluster shards across `psim`'s
-  /// schedulers — shard 0 hosts the edge (clients, ingress, Ethernet,
-  /// control plane), shard 1+i hosts the i-th worker added — and
-  /// finish_setup() drives psim instead of a single scheduler. Requires a
-  /// Palladium system (baseline data planes assume one scheduler) and a
-  /// ParallelSim built with 1 + max workers shards. Simulated results are
-  /// bit-identical for any worker-thread count, but differ from legacy
-  /// single-scheduler runs (per-node RNG streams replace shared ones).
+  /// The cluster shards across `psim`'s schedulers: shard 0 hosts the edge
+  /// (clients, ingress, Ethernet, control plane) and shard 1+i the i-th
+  /// worker added (or its leaf, see ShardMapping); finish_setup() and the
+  /// caller drive psim.run / run_until. A one-shard ParallelSim hosts every
+  /// worker on shard 0 too — the only layout the baseline data planes
+  /// accept, since they assume one scheduler. Multi-shard runs need a
+  /// Palladium system and 1 + workers (or 1 + leaves) shards. Simulated
+  /// results are bit-identical for any worker-thread count.
   Cluster(sim::ParallelSim& psim, ClusterConfig config);
   ~Cluster();
 
@@ -241,10 +240,10 @@ class Cluster {
 
   // --- accessors -------------------------------------------------------------
 
-  [[nodiscard]] sim::Scheduler& scheduler() { return sched_; }
-  [[nodiscard]] bool sharded() const { return psim_ != nullptr; }
-  [[nodiscard]] sim::ParallelSim* parallel() { return psim_; }
-  /// Scheduler owning `node` (sched_ for the edge and in legacy mode).
+  /// The edge shard's scheduler (shard 0).
+  [[nodiscard]] sim::Scheduler& scheduler() { return psim_.shard(0); }
+  [[nodiscard]] sim::ParallelSim& parallel() { return psim_; }
+  /// Scheduler owning `node` (the edge shard for non-workers).
   [[nodiscard]] sim::Scheduler& scheduler_for(NodeId node);
   /// Shard index owning `node` (0 for the edge and unknown nodes).
   [[nodiscard]] std::size_t shard_of(NodeId node) const;
@@ -256,56 +255,42 @@ class Cluster {
   [[nodiscard]] NodeId placement_of(FunctionId fn) const;
   [[nodiscard]] FunctionInstance& instance(FunctionId fn);
 
-  // --- fault injection -------------------------------------------------------
-
-  /// Fail-stop crash of a worker's network attachment (RDMA systems only):
-  /// its fabric port goes dark — in-flight frames to/from it are lost —
-  /// and every RC QP on the node or pointing at it from a peer transitions
-  /// to error (the peers' RC retry counters exceed while it is down).
-  /// Surviving engines recover via retransmit + QP rebuild.
-  void crash_node(NodeId node);
-  /// Bring a crashed worker's attachment back up. Peers re-establish
-  /// connections lazily on their next send toward the node.
-  void restart_node(NodeId node);
-
   /// Apply the configured compute jitter to a nominal duration for work on
-  /// `node`. Legacy mode draws from the cluster-wide stream (byte-identical
-  /// with earlier trees); parallel mode draws from the node's own
-  /// deterministic stream so draws stay shard-local and replayable.
+  /// `node`, drawn from the node's own deterministic stream so draws stay
+  /// shard-local and replayable.
   [[nodiscard]] sim::Duration jittered(NodeId node, sim::Duration nominal);
 
-  // --- parallel-mode observability -------------------------------------------
+  // --- observability ----------------------------------------------------------
+  // Every shard records into its own obs::Hub (installed thread-locally
+  // around the shard's execute phase); merge_observability folds them.
 
-  /// Enable request tracing on the per-shard hubs (off by default in
-  /// parallel mode; sample every `n`th trace, 0 disables again).
+  /// Enable request tracing on the per-shard hubs (off by default; sample
+  /// every `n`th trace, 0 disables again).
   void enable_shard_tracing(std::uint64_t n);
   /// Enable exact busy-time profiling on the per-shard hubs: each shard
   /// worker thread attributes its cores' busy intervals into its own
-  /// obs::Profiler, folded together by merge_observability. Call before
-  /// the run starts.
+  /// obs::Profiler, folded together by merge_observability. Called before
+  /// finish_setup(), it also attributes the setup work the calling thread
+  /// charges (to the edge shard's profiler).
   void enable_shard_profiling();
-  /// Enable the per-tenant resource ledger (ISSUE 10). Parallel mode: each
-  /// shard worker thread records occupancy / wait / blame into its own
-  /// obs::Ledger (chained in front of the shard profiler when profiling is
-  /// also on), folded together by merge_observability. Serial runs enable
-  /// the installed global hub's ledger via obs::LedgerSession instead. In
-  /// both modes this attaches simulated-time clocks to every buffer pool so
-  /// the exact slot-ns occupancy integrals accrue.
+  /// Enable the per-tenant resource ledger: each shard worker
+  /// thread records occupancy / wait / blame into its own obs::Ledger
+  /// (chained in front of the shard profiler when profiling is also on),
+  /// folded together by merge_observability. Also attaches simulated-time
+  /// clocks to every buffer pool so the exact slot-ns occupancy integrals
+  /// accrue.
   void enable_ledger();
   [[nodiscard]] bool ledger_enabled() const { return ledger_enabled_; }
   /// Fold every pool's slot-ns integral (through its node's final simulated
-  /// time) into the owning shard's ledger (parallel) or the installed global
-  /// hub's ledger (serial). Call once, after the run drains and before
-  /// merge_observability.
+  /// time) into the owning shard's ledger. Call once, after the run drains
+  /// and before merge_observability.
   void collect_pool_slot_ns();
-  /// The hub observing the cluster edge: shard 0's hub in parallel mode,
-  /// the installed global hub otherwise (may be null). Requests are
-  /// admitted, completed, and blame-targeted on the edge, so this is where
-  /// the controllers' ledger lives.
+  /// The hub observing the cluster edge (shard 0's; never null). Requests
+  /// are admitted, completed, and blame-targeted on the edge, so this is
+  /// where the controllers' ledger lives.
   [[nodiscard]] obs::Hub* edge_hub();
   /// Register a latency SLO with the watchdog that observes this cluster's
-  /// requests (the edge shard's hub in parallel mode, the installed global
-  /// hub otherwise).
+  /// requests (the edge shard's hub).
   void add_slo(obs::SloSpec spec);
   /// Start a UtilizationProbe on every worker core (host CPUs + a separate
   /// engine core), exposing each probe's last completed window in `reg` as
@@ -314,14 +299,13 @@ class Cluster {
   /// Start the time-series flight recorder (ISSUE 6): registers gauge
   /// probes over every engine / RNIC / connection manager / buffer pool /
   /// core set, then begins periodic background sampling in simulated time
-  /// — on each shard's own hub in parallel mode (folded together by
-  /// merge_observability), on the installed global hub otherwise. Call
-  /// after finish_setup() so tenants and connections exist; the ingress
-  /// and the chaos controller add their own series via flight_recorder().
+  /// on each shard's own hub (folded together by merge_observability).
+  /// Call after finish_setup() so tenants and connections exist; the
+  /// ingress and the chaos controller add their own series via
+  /// flight_recorder().
   void start_flight_recorder(obs::FlightConfig cfg = {});
-  /// Recorder holding `node`'s series: the owning shard's hub in parallel
-  /// mode, the installed global hub otherwise. nullptr until
-  /// start_flight_recorder() runs, so callers can no-op cheaply.
+  /// Recorder holding `node`'s series (the owning shard's hub). nullptr
+  /// until start_flight_recorder() runs, so callers can no-op cheaply.
   [[nodiscard]] obs::FlightRecorder* flight_recorder(NodeId node);
   [[nodiscard]] bool flight_recording() const { return flight_started_; }
   /// Fold every shard hub into `into` deterministically (shard order):
@@ -343,6 +327,9 @@ class Cluster {
                          const mem::BufferDescriptor& d, FunctionId dst,
                          TenantId dst_tenant);
 
+  /// Uninstall the setup-era profiler from the calling thread, if present.
+  void release_setup_profiler();
+
   /// Register `node`'s gauge probes on its shard's flight recorder. Every
   /// probe reads only shard-local state (the determinism contract).
   void register_flight_probes(WorkerNode& node, const obs::FlightConfig& cfg);
@@ -356,7 +343,6 @@ class Cluster {
   /// through shards they do talk to (edge shard included — the ingress may
   /// target any worker). Any post that violates the tightened matrix
   /// PD_CHECK-faults, so a wrong no-comm assumption is loud, not silent.
-  /// No-op in legacy mode.
   void refresh_lookahead_matrix();
 
   /// True when some admitted tenant is hosted on both nodes (an unscoped
@@ -364,7 +350,7 @@ class Cluster {
   /// finish_setup() and a direct edge in the lookahead matrix.
   [[nodiscard]] bool tenants_shared(NodeId a, NodeId b) const;
 
-  sim::Scheduler& sched_;
+  sim::ParallelSim& psim_;
   ClusterConfig config_;
   fabric::Topology topo_;  ///< leaf/spine layout shared by both fabrics
   fabric::Switch eth_;  ///< Ethernet network (TCP paths)
@@ -374,7 +360,7 @@ class Cluster {
   std::vector<std::unique_ptr<WorkerNode>> nodes_;
   std::unordered_map<NodeId, WorkerNode*> by_id_;
   std::unordered_map<TenantId, std::uint32_t> tenants_;
-  /// Host scope per tenant (empty vector = every node, the legacy default).
+  /// Host scope per tenant (empty vector = every node, the unscoped default).
   /// Drives which node pairs finish_setup() meshes and which shard pairs
   /// the PDES lookahead matrix treats as directly communicating.
   std::unordered_map<TenantId, std::vector<NodeId>> tenant_hosts_;
@@ -384,14 +370,11 @@ class Cluster {
   std::unique_ptr<CartStateStore> cart_store_;
   std::vector<std::pair<NodeId, std::unique_ptr<CartStoreClient>>>
       cart_clients_;
-  sim::Rng rng_{0};
   bool setup_done_ = false;
   bool flight_started_ = false;
   std::vector<std::unique_ptr<sim::TimeSeries>> util_series_;
   std::vector<std::unique_ptr<sim::UtilizationProbe>> util_probes_;
 
-  // Parallel mode only.
-  sim::ParallelSim* psim_ = nullptr;
   std::unordered_map<NodeId, std::size_t> node_shard_;
   std::size_t next_shard_ = 1;  ///< shard 0 is the edge
   std::unordered_map<NodeId, sim::Rng> node_jitter_;

@@ -38,7 +38,7 @@ void ChainDriver::start(int clients) {
   // Stagger connection start-up (wrk ramps its connections too); perfectly
   // simultaneous starts would phase-lock the closed loops into convoys.
   for (int i = 0; i < clients; ++i) {
-    cluster_.scheduler().schedule_after(static_cast<sim::Duration>(i) * 13'000,
+    cluster_.scheduler_for(node_).schedule_after(static_cast<sim::Duration>(i) * 13'000,
                                         [this] { send_one(); });
   }
 }
@@ -49,10 +49,10 @@ void ChainDriver::send_one() {
   if (!cluster_.inject_request(entry_, node_, chain_id_, id, &core_)) {
     // Pool pressure: back off and retry (the client connection stalls; the
     // skipped id is simply never used).
-    cluster_.scheduler().schedule_after(kPoolBackoffNs, [this] { send_one(); });
+    cluster_.scheduler_for(node_).schedule_after(kPoolBackoffNs, [this] { send_one(); });
     return;
   }
-  inflight_.emplace(id, cluster_.scheduler().now());
+  inflight_.emplace(id, cluster_.scheduler_for(node_).now());
 }
 
 void ChainDriver::on_response(const mem::BufferDescriptor& d) {
@@ -60,7 +60,7 @@ void ChainDriver::on_response(const mem::BufferDescriptor& d) {
   const core::MessageHeader h =
       core::read_header(pool.access(d, mem::actor_function(entry_)));
   PD_CHECK(h.is_response(), "driver received a non-response");
-  core::trace_finish(h, cluster_.scheduler().now());
+  core::trace_finish(h, cluster_.scheduler_for(node_).now());
   pool.release(d, mem::actor_function(entry_));
 
   auto it = inflight_.find(h.request_id);
@@ -68,7 +68,7 @@ void ChainDriver::on_response(const mem::BufferDescriptor& d) {
   const sim::TimePoint start = it->second;
   inflight_.erase(it);
 
-  const sim::TimePoint now = cluster_.scheduler().now();
+  const sim::TimePoint now = cluster_.scheduler_for(node_).now();
   if (h.is_error()) {
     // Explicit failure from the data plane (fault injection / shedding):
     // the request is accounted as failed, and the closed loop moves on.
@@ -118,21 +118,21 @@ void BurstyLoad::start() {
   // Setup (RC connection establishment) may already have advanced the
   // clock past the schedule's nominal start.
   const sim::TimePoint at =
-      std::max(schedule_.start, cluster_.scheduler().now());
-  cluster_.scheduler().schedule_at(at, [this] { arrival(); });
+      std::max(schedule_.start, cluster_.scheduler_for(node_).now());
+  cluster_.scheduler_for(node_).schedule_at(at, [this] { arrival(); });
 }
 
 double BurstyLoad::current_rate() const {
   double rate = schedule_.rate_rps;
   if (schedule_.surge_period > 0) {
-    const auto phase = cluster_.scheduler().now() % schedule_.surge_period;
+    const auto phase = cluster_.scheduler_for(node_).now() % schedule_.surge_period;
     if (phase < schedule_.surge_on) rate *= schedule_.surge_factor;
   }
   return rate;
 }
 
 void BurstyLoad::arrival() {
-  const sim::TimePoint now = cluster_.scheduler().now();
+  const sim::TimePoint now = cluster_.scheduler_for(node_).now();
   if (schedule_.stop != 0 && now >= schedule_.stop) return;
 
   const std::uint64_t id = next_request_++;
@@ -144,7 +144,7 @@ void BurstyLoad::arrival() {
 
   const double mean_gap_ns = 1e9 / current_rate();
   const auto gap = static_cast<sim::Duration>(rng_.exponential(mean_gap_ns));
-  cluster_.scheduler().schedule_after(std::max<sim::Duration>(gap, 1),
+  cluster_.scheduler_for(node_).schedule_after(std::max<sim::Duration>(gap, 1),
                                       [this] { arrival(); });
 }
 
@@ -153,10 +153,10 @@ void BurstyLoad::on_response(const mem::BufferDescriptor& d) {
   if (obs::hub() != nullptr) {
     const core::MessageHeader h =
         core::read_header(pool.access(d, mem::actor_function(entry_)));
-    core::trace_finish(h, cluster_.scheduler().now());
+    core::trace_finish(h, cluster_.scheduler_for(node_).now());
   }
   pool.release(d, mem::actor_function(entry_));
-  completions_.increment(cluster_.scheduler().now());
+  completions_.increment(cluster_.scheduler_for(node_).now());
   ++completed_;
 }
 

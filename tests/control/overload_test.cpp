@@ -5,7 +5,7 @@
 // is shed explicitly; every scenario is byte-identical across worker
 // thread counts; and chaos plus 2x load never loses a request silently
 // across seeds.
-#include "control/scenario.hpp"
+#include "scenarios/scenario.hpp"
 
 #include <gtest/gtest.h>
 

@@ -18,10 +18,10 @@
 #include <string>
 #include <utility>
 
-#include "control/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/runcompare.hpp"
+#include "scenarios/scenario.hpp"
 #include "sim/profile.hpp"
 
 namespace pd::obs {

@@ -195,12 +195,11 @@ struct ScaleResult {
   std::string metrics_json;
 };
 
-ScaleResult run_scale_boutique(unsigned os_threads, bool legacy_horizon) {
+ScaleResult run_scale_boutique(unsigned os_threads) {
   constexpr int kNodes = 32;
   constexpr std::size_t kCells = 16;
   constexpr std::size_t kPerSwitch = 8;
   sim::ParallelSim psim(/*shards=*/1 + kNodes / kPerSwitch, os_threads);
-  if (legacy_horizon) psim.set_horizon_policy(sim::HorizonPolicy::kLegacy);
   runtime::ClusterConfig cfg;
   cfg.cpu_cores_per_node = 8;
   cfg.pool_buffers = 1024;
@@ -229,11 +228,6 @@ ScaleResult run_scale_boutique(unsigned os_threads, bool legacy_horizon) {
   }
   ing.finish_setup();
   cluster.finish_setup();
-  if (legacy_horizon) {
-    // The PR 4 protocol baseline: uniform flat-fabric lookahead everywhere
-    // (the policy selected above restores the old horizon arithmetic).
-    psim.set_lookahead(fabric::cross_node_lookahead());
-  }
 
   std::vector<std::unique_ptr<workload::HttpLoadGen>> gens;
   for (const auto& cell : cells) {
@@ -271,16 +265,26 @@ ScaleResult run_scale_boutique(unsigned os_threads, bool legacy_horizon) {
   return r;
 }
 
+/// The single-threaded scale run, shared by the tests below (the model is
+/// deterministic, so one run serves every assertion on it).
+const ScaleResult& scale_reference() {
+  static const ScaleResult ref = run_scale_boutique(1);
+  return ref;
+}
+
 TEST(Pdes, LeafShardedScaleBitIdenticalAcrossThreadCounts) {
-  const ScaleResult ref = run_scale_boutique(1, /*legacy_horizon=*/false);
+  const ScaleResult& ref = scale_reference();
   ASSERT_GT(ref.events, 0u);
   ASSERT_GT(ref.requests, 0u);
   ASSERT_GT(ref.epochs, 0u);
   ASSERT_GT(ref.mailbox_msgs, 0u);
+  // Adaptive horizons batch cross-leaf windows: skip-ahead epochs (horizons
+  // past the uniform-L formula) must actually occur.
+  EXPECT_GT(ref.skip_ahead, 0u);
 
   for (unsigned threads : {2u, 4u}) {
     SCOPED_TRACE("os_threads=" + std::to_string(threads));
-    const ScaleResult got = run_scale_boutique(threads, false);
+    const ScaleResult got = run_scale_boutique(threads);
     EXPECT_EQ(got.events, ref.events);
     EXPECT_EQ(got.requests, ref.requests);
     EXPECT_EQ(got.p50, ref.p50);
@@ -292,29 +296,14 @@ TEST(Pdes, LeafShardedScaleBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Horizon-audit regression (ISSUE 9 satellite): the legacy PR 4 formula
-// stays available as HorizonPolicy::kLegacy and both policies simulate the
-// same model — identical request latencies to the nanosecond. Only epoch
-// grouping differs, and the adaptive protocol must keep its >=5x epoch
-// reduction on the leaf-sharded scale scenario. Latency quantiles (not raw
-// event counts) are the cross-policy equality check: events that share a
-// timestamp can drain in different epochs under different policies and
-// pick up different tie-break sequence numbers, which at dense load can
-// shuffle a handful of same-time deliveries without moving any latency.
-TEST(Pdes, AdaptiveHorizonCutsEpochsVsLegacy) {
-  const ScaleResult adaptive = run_scale_boutique(1, /*legacy_horizon=*/false);
-  const ScaleResult legacy = run_scale_boutique(1, /*legacy_horizon=*/true);
-  ASSERT_GT(adaptive.requests, 0u);
-
-  EXPECT_EQ(adaptive.requests, legacy.requests);
-  EXPECT_EQ(adaptive.p50, legacy.p50);
-  EXPECT_EQ(adaptive.p99, legacy.p99);
-  // The epoch-count pin: the legacy protocol crawls in uniform-L steps and
-  // must stay the (expensive) upper baseline; adaptive batches cross-leaf
-  // horizons and skip-ahead epochs must actually occur.
-  EXPECT_GT(adaptive.skip_ahead, 0u);
-  EXPECT_EQ(legacy.skip_ahead, 0u);
-  EXPECT_GE(legacy.epochs, 5 * adaptive.epochs);
+// Epoch-count regression pin: the adaptive protocol's epoch count on the
+// leaf-sharded scale scenario may not grow past 3324, the count this
+// scenario took when the uniform-L protocol was deleted (that protocol
+// needed 25751 epochs here).
+TEST(Pdes, AdaptiveScaleEpochCountBounded) {
+  const ScaleResult& ref = scale_reference();
+  ASSERT_GT(ref.requests, 0u);
+  EXPECT_LE(ref.epochs, 3324u);
 }
 
 // Satellite 3: metric snapshots depend only on the instrument key set,

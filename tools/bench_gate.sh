@@ -11,10 +11,11 @@
 # any per-load row — not just the gate block — fails the run.
 #
 # Wall-clock numbers are machine-dependent, so the gate prefers a LOCAL
-# baseline recorded on this machine (build/bench_baseline.<fingerprint>.json,
-# untracked). When none exists it records one from the current tree — with a
-# loud notice, since that run gates nothing — instead of comparing against
-# the committed BENCH_*.json numbers from someone else's hardware.
+# baseline recorded on this machine
+# (build/bench_baseline.v<version>.<fingerprint>.json, untracked). When none
+# exists it records one from the current tree — with a loud notice, since
+# that run gates nothing — instead of comparing against the committed
+# BENCH_*.json numbers from someone else's hardware.
 #
 # Usage:
 #   tools/bench_gate.sh                 gate against the local baseline
@@ -63,7 +64,12 @@ fi
 # moves; cksum keeps the filename filesystem-safe.
 FP=$( { uname -m; nproc; grep -m1 "model name" /proc/cpuinfo 2>/dev/null; } \
       | cksum | cut -d' ' -f1)
-LOCAL=build/bench_baseline.$FP.json
+# Bump BASELINE_VERSION whenever the sweep's simulated output changes on
+# purpose, so a baseline recorded by an older sweep is re-recorded instead
+# of reported as >1% model drift. v2: the classic sweep runs on the sharded
+# simulator (the single-scheduler path is gone).
+BASELINE_VERSION=2
+LOCAL=build/bench_baseline.v$BASELINE_VERSION.$FP.json
 
 if [ ! -f "$LOCAL" ]; then
   echo "bench_gate: NOTICE — no baseline recorded on this machine yet." >&2

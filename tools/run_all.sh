@@ -235,17 +235,12 @@ if [ "$1" = "scale" ]; then
   ctest --test-dir build -L pdes --output-on-failure 2>&1 | tee scale_output.txt
   rm -rf scale_report && mkdir -p scale_report
   # The ISSUE 9 scale point (32 workers / 4 leaf switches / 16 cells, one
-  # shard per leaf) per worker-thread count, plus the PR 4 protocol
-  # baseline for the epoch-reduction A/B.
+  # shard per leaf) per worker-thread count.
   for t in 1 2 4; do
     echo "=== perf_gate --scale --threads $t ==="
     ./build/bench/perf_gate --scale --threads "$t" \
       --json "scale_report/t$t.json"
   done 2>&1 | tee -a scale_output.txt
-  echo "=== perf_gate --scale --legacy-horizon (PR 4 protocol baseline) ===" \
-    | tee -a scale_output.txt
-  ./build/bench/perf_gate --scale --legacy-horizon \
-    --json scale_report/legacy.json 2>&1 | tee -a scale_output.txt
   # Determinism gate: every simulated-time leaf — latencies, event counts,
   # and the pdes_* protocol counters — must be identical across thread
   # counts (wall_sec and barrier_wait are machine noise, excluded).
