@@ -31,15 +31,6 @@ struct Result {
 
 Result run(runtime::SystemKind system, std::uint32_t payload, int clients,
            obs::Hub* hub = nullptr) {
-  // Metrics-only observation: the always-on registry histograms (notably
-  // dne.soc_dma_ns) record every event, but per-request span collection is
-  // disabled — a 3 s closed-loop run would accumulate millions of spans.
-  std::unique_ptr<obs::Session> session;
-  if (hub != nullptr) {
-    hub->tracer.set_sample_every(0);
-    session = std::make_unique<obs::Session>(*hub);
-  }
-
   sim::ParallelSim psim(1);
   sim::Scheduler& sched = psim.shard(0);
   runtime::ClusterConfig cfg;

@@ -171,7 +171,6 @@ LoadResult run_load(const LoadSpec& spec) {
   // into the per-shard hubs, merged below. The sampler is a handful of
   // pure reads per simulated millisecond — noise next to the event loop.
   obs::Hub hub;
-  obs::Session session(hub);
   cluster->start_flight_recorder({});
   ing.start_flight_probes();
 

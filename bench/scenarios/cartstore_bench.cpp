@@ -50,7 +50,6 @@ CartAblationResult::ModeRow run_mode(bool use_store,
   const sim::Duration horizon = opts.seconds * 1'000'000'000;
 
   obs::Hub hub;
-  obs::Session session(hub);
 
   sim::ParallelSim psim(3, opts.threads);
   ClusterConfig cfg;

@@ -85,7 +85,6 @@ OverloadResult run_overload(const OverloadOptions& opts) {
   // The SLO watchdog (and everything else observable) lives on the shard
   // hubs; `hub` holds the merged end state after the drain.
   obs::Hub hub;
-  obs::Session session(hub);
 
   sim::ParallelSim psim(3, opts.threads);
 

@@ -118,14 +118,7 @@ int main(int argc, char** argv) {
   // With tracing on, sample every 500th request end-to-end (a 5 s run
   // serves ~100K requests; sampling keeps the trace Perfetto-sized) and
   // dump a full metrics snapshot alongside.
-  obs::Hub hub;
-  std::unique_ptr<obs::Session> session;
-  if (observing) {
-    // The per-shard hubs do the recording (merged into `hub` after the
-    // run); the globally installed hub must not sample.
-    hub.tracer.set_sample_every(0);
-    session = std::make_unique<obs::Session>(hub);
-  }
+  obs::Hub hub;  // the per-shard hubs record; merged into `hub` after the run
 
   // The cluster shards (edge + one shard per worker) across --threads OS
   // threads with bit-identical simulated results for every count.
@@ -383,6 +376,7 @@ int main(int argc, char** argv) {
   }
   if (observing) {
     runtime::export_metrics(*cluster, hub.registry);
+    if (flame) hub.profiler.export_folded(hub.registry);
     hub.registry.write_json(prefix + "_metrics.json");
     std::printf("metrics snapshot -> %s_metrics.json\n", prefix.c_str());
   }

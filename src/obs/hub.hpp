@@ -1,15 +1,18 @@
-// Process-global observability hub.
+// Thread-local observability hub.
 //
 // Instrumentation sites deep in the data plane (engine, RNIC, function
 // runtime) reach the tracer and metrics registry through obs::hub() rather
-// than through constructor plumbing: the simulation is single-threaded, so a
-// plain global is safe, and a null hub makes every instrumentation site a
-// single-branch no-op -- benches that do not attach an exporter pay nothing.
+// than through constructor plumbing. The hub is per thread: the parallel
+// simulation's shard hooks install each shard's own hub around its execute
+// phase, so recording needs no cross-thread sharing, and a null hub makes
+// every instrumentation site a single-branch no-op -- benches that do not
+// attach an exporter pay nothing. The shards' hubs fold into one with
+// Hub::absorb after the run.
 //
 // Usage:
-//   obs::Hub hub;                       // owns Registry + Tracer
-//   obs::Session session(hub);          // installs; uninstalls on scope exit
-//   ... run simulation ...
+//   obs::Hub hub;                       // owns Registry + Tracer + ...
+//   ... build the cluster, run it ...
+//   cluster.merge_observability(hub);   // fold every shard hub into `hub`
 //   hub.tracer.write_chrome_json("trace.json");
 #pragma once
 
@@ -19,38 +22,54 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "sim/profile.hpp"
 
 namespace pd::obs {
 
-struct Hub {
+/// Every sink, plus the one busy-time observer that feeds two of them: each
+/// charge a core or DMA engine reports goes to `profiler` when `profiling`
+/// is set and to `ledger` when it is enabled.
+struct Hub final : sim::BusyObserver {
   Registry registry;
   Tracer tracer{&registry};
   Profiler profiler;
   SloWatchdog slo{&registry};
   FlightRecorder timeseries;
   Ledger ledger;
+  bool profiling = false;
+
+  /// True when some sink consumes busy charges, i.e. when installing this
+  /// hub as the thread's busy observer records anything.
+  [[nodiscard]] bool observes_busy() const {
+    return profiling || ledger.enabled();
+  }
+
+  void on_busy(std::string_view resource, const sim::ProfileFrame& frame,
+               sim::TimePoint submitted, sim::TimePoint begin,
+               sim::Duration scaled_ns, std::uint64_t bytes) override;
+
+  /// Fold a shard's hub into this one: close the shard's trailing SLO
+  /// window at `shard_end` (its final simulated time) so partial-window
+  /// alerts are not lost, then merge registry, spans, profile, ledger, SLO
+  /// state and flight series. The donor is emptied, so a second fold
+  /// cannot double-count. Call in fixed shard order, then
+  /// tracer.resolve_foreign_ends() once, for a deterministic merge.
+  void absorb(Hub& shard, sim::TimePoint shard_end);
 };
 
-/// Currently installed hub, or nullptr when observability is off. A
-/// thread-local hub (sharded simulation workers) shadows the global one.
+/// This thread's hub, or nullptr when observability is off.
 [[nodiscard]] Hub* hub();
 
-/// Install `h` as the global hub (nullptr uninstalls). Returns the previous
-/// hub so callers can restore it.
-Hub* install_hub(Hub* h);
-
-/// Install `h` as THIS thread's hub (nullptr uninstalls the thread-local
-/// override, falling back to the global hub). The parallel simulation's
-/// shard enter/leave hooks use this so each shard records into its own
-/// registry with no cross-thread sharing; the shards' hubs are merged
-/// deterministically after the run.
+/// Install `h` as THIS thread's hub (nullptr uninstalls). Returns the
+/// previous hub so callers can restore it.
 Hub* install_thread_hub(Hub* h);
 
-/// RAII installer; restores the previously installed hub on destruction.
+/// RAII installer of a hub on the calling thread; restores the previous
+/// one on destruction.
 class Session {
  public:
-  explicit Session(Hub& h) : prev_(install_hub(&h)) {}
-  ~Session() { install_hub(prev_); }
+  explicit Session(Hub& h) : prev_(install_thread_hub(&h)) {}
+  ~Session() { install_thread_hub(prev_); }
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 

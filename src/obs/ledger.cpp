@@ -48,19 +48,9 @@ const char* to_string(LedgerKind kind) {
   return kKindNames[static_cast<std::uint8_t>(kind)];
 }
 
-void Ledger::on_busy(std::string_view resource, const sim::ProfileFrame& frame,
-                     sim::Duration scaled_ns) {
-  if (next_ != nullptr) next_->on_busy(resource, frame, scaled_ns);
-}
-
-void Ledger::on_busy_interval(std::string_view resource,
-                              const sim::ProfileFrame& frame,
-                              sim::TimePoint submitted, sim::TimePoint begin,
-                              sim::Duration scaled_ns, std::uint64_t bytes) {
-  if (next_ != nullptr) {
-    next_->on_busy_interval(resource, frame, submitted, begin, scaled_ns,
-                            bytes);
-  }
+void Ledger::charge(std::string_view resource, const sim::ProfileFrame& frame,
+                    sim::TimePoint submitted, sim::TimePoint begin,
+                    sim::Duration scaled_ns, std::uint64_t bytes) {
   if (!enabled_) return;
   // DMA engines are the only byte-denominated BusyObserver sources; they
   // are named "<node>/dma" by the DPU model.

@@ -7,8 +7,8 @@
 // DWRR queue wait — to the owning tenant, with *exact conservation*: the
 // per-tenant sums equal the measured totals with zero residual, the same
 // discipline as critpath's exact-sum rule. Core and DMA intervals arrive
-// through the BusyObserver channel (on_busy_interval); the NIC, fabric,
-// queue, and pool sites call the primitives directly.
+// through the hub's busy-observer stream (charge); the NIC, fabric, queue,
+// and pool sites call the primitives directly.
 //
 // On top of the occupancy timelines the ledger computes a cross-tenant
 // interference matrix: for each wait interval a tenant's message spends
@@ -21,8 +21,8 @@
 // order, so reports are byte-identical across --threads 1/2/4.
 //
 // Like the profiler, the ledger only records — it never schedules events —
-// so enabling it can never perturb simulation results. It chains to a
-// `next` BusyObserver (the profiler) so both fold the same charge stream.
+// so enabling it can never perturb simulation results. obs::Hub feeds both
+// from the same charge stream.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +54,7 @@ enum class LedgerKind : std::uint8_t {
 [[nodiscard]] const char* to_string(LedgerKind kind);
 inline constexpr std::size_t kLedgerKinds = 7;
 
-class Ledger final : public sim::BusyObserver {
+class Ledger final {
  public:
   struct Totals {
     std::uint64_t busy_ns = 0;
@@ -80,19 +80,12 @@ class Ledger final : public sim::BusyObserver {
   void set_enabled(bool on) { enabled_ = on; }
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// Chain to the next BusyObserver (the profiler): on_busy forwards so a
-  /// single installed observer feeds both, and conservation tests can
-  /// compare ledger core sums against profile.busy_ns from the same
-  /// charge stream.
-  void set_next(sim::BusyObserver* next) { next_ = next; }
-
-  // --- BusyObserver ---------------------------------------------------------
-  void on_busy(std::string_view resource, const sim::ProfileFrame& frame,
-               sim::Duration scaled_ns) override;
-  void on_busy_interval(std::string_view resource,
-                        const sim::ProfileFrame& frame,
-                        sim::TimePoint submitted, sim::TimePoint begin,
-                        sim::Duration scaled_ns, std::uint64_t bytes) override;
+  /// One core or DMA busy charge, as sim::BusyObserver::on_busy reports it:
+  /// the queue wait [submitted, begin) and the occupancy
+  /// [begin, begin + scaled_ns) go to frame.tenant, plus `bytes` for DMA.
+  void charge(std::string_view resource, const sim::ProfileFrame& frame,
+              sim::TimePoint submitted, sim::TimePoint begin,
+              sim::Duration scaled_ns, std::uint64_t bytes);
 
   // --- recording primitives -------------------------------------------------
 
@@ -230,7 +223,6 @@ class Ledger final : public sim::BusyObserver {
   void prune(Live& lv);
 
   bool enabled_ = false;
-  sim::BusyObserver* next_ = nullptr;
   std::map<CellKey, Totals> cells_;
   std::map<BlameKey, std::uint64_t> blame_;
   std::map<std::pair<std::uint8_t, std::string>, Live> live_;

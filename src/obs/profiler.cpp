@@ -7,9 +7,9 @@
 
 namespace pd::obs {
 
-void Profiler::on_busy(std::string_view resource,
-                       const sim::ProfileFrame& frame,
-                       sim::Duration scaled_ns) {
+void Profiler::charge(std::string_view resource,
+                      const sim::ProfileFrame& frame,
+                      sim::Duration scaled_ns) {
   if (scaled_ns <= 0) return;
   const auto ns = static_cast<std::uint64_t>(scaled_ns);
   std::string key;

@@ -1,6 +1,6 @@
 // Simulated-time exact profiler (ISSUE 5 tentpole, part 2).
 //
-// Implements sim::BusyObserver: every busy interval a sim::Core (or SoC-DMA
+// Fed by obs::Hub's busy observer: every busy interval a sim::Core (or SoC-DMA
 // engine) charges is folded into a (resource; component; tenant; detail)
 // stack keyed map. There is no sampling — the profile IS the busy-time
 // accounting, so the collapsed-stack export sums exactly to the cores'
@@ -20,10 +20,11 @@ namespace pd::obs {
 
 class Registry;
 
-class Profiler : public sim::BusyObserver {
+class Profiler {
  public:
-  void on_busy(std::string_view resource, const sim::ProfileFrame& frame,
-               sim::Duration scaled_ns) override;
+  /// Fold one busy charge of `scaled_ns` on `resource` under `frame`.
+  void charge(std::string_view resource, const sim::ProfileFrame& frame,
+              sim::Duration scaled_ns);
 
   [[nodiscard]] bool empty() const { return folded_.empty(); }
   /// Total busy ns recorded across every resource.

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <unordered_map>
 
 #include "common/check.hpp"
 #include "obs/metrics.hpp"
@@ -37,28 +38,35 @@ std::uint32_t Tracer::begin_span(std::uint64_t trace_id, std::uint32_t parent,
   return spans_.back().span_id;
 }
 
+void Tracer::close(SpanRecord& s, sim::TimePoint now) {
+  if (s.closed()) return;  // double-close is a no-op
+  PD_CHECK(now >= s.begin_ns,
+           "span \"" << s.name << "\" closed before it began");
+  s.end_ns = now;
+  if (registry_ != nullptr) {
+    registry_->histogram("hop." + s.name).record(s.duration());
+  }
+}
+
 void Tracer::end_span(std::uint32_t span_id, sim::TimePoint now) {
   if (span_id == 0) return;
-  // Spans close in roughly the order they open; scan from the tail.
-  for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
-    if (it->span_id != span_id) continue;
-    if (it->closed()) return;  // double-close is a no-op
-    PD_CHECK(now >= it->begin_ns, "span \"" << it->name
-                                            << "\" closed before it began");
-    it->end_ns = now;
-    if (registry_ != nullptr) {
-      registry_->histogram("hop." + it->name).record(it->duration());
-    }
+  // This tracer's own spans sit at spans_[local id - first_local_]. The
+  // id check rejects ids tagged with another shard; a local id below
+  // first_local_ wraps to an index past the end.
+  const std::uint32_t i = (span_id & kLocalMask) - first_local_;
+  if (i < spans_.size() && spans_[i].span_id == span_id) {
+    close(spans_[i], now);
     return;
   }
-  // Unknown id. On a shard tracer the begin likely lives on another shard:
+  // Not begun here. On a shard tracer the begin lives on another shard:
   // remember the end for post-merge resolution. Otherwise (e.g. mixed
   // baseline/palladium runs) ignore, as producers may outrun consumers.
   if (collect_foreign_ends_) foreign_ends_.push_back({span_id, now});
 }
 
 void Tracer::set_shard(std::uint32_t k) {
-  next_span_id_ = (k << 28) | 1u;
+  shard_ = k;
+  next_span_id_ = (k << kShardShift) | 1u;
   next_trace_id_ = (static_cast<std::uint64_t>(k) << 56) | 1u;
   collect_foreign_ends_ = true;
 }
@@ -71,21 +79,23 @@ void Tracer::absorb(Tracer& other) {
   traces_started_ += other.traces_started_;
   other.spans_.clear();
   other.foreign_ends_.clear();
+  other.first_local_ = other.next_span_id_ & kLocalMask;
 }
 
 void Tracer::resolve_foreign_ends() {
+  if (foreign_ends_.empty()) return;
+  // One pass maps every awaited id to its span; a later span with the same
+  // id overwrites an earlier one.
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::unordered_map<std::uint32_t, std::size_t> pos;
+  pos.reserve(foreign_ends_.size());
+  for (const ForeignEnd& fe : foreign_ends_) pos.emplace(fe.span_id, kNone);
+  for (std::size_t i = 0; i < spans_.size(); ++i) {
+    if (auto it = pos.find(spans_[i].span_id); it != pos.end()) it->second = i;
+  }
   for (const ForeignEnd& fe : foreign_ends_) {
-    for (auto it = spans_.rbegin(); it != spans_.rend(); ++it) {
-      if (it->span_id != fe.span_id) continue;
-      if (it->closed()) break;
-      PD_CHECK(fe.end_ns >= it->begin_ns,
-               "span \"" << it->name << "\" closed before it began");
-      it->end_ns = fe.end_ns;
-      if (registry_ != nullptr) {
-        registry_->histogram("hop." + it->name).record(it->duration());
-      }
-      break;
-    }
+    const std::size_t i = pos.at(fe.span_id);
+    if (i != kNone) close(spans_[i], fe.end_ns);
   }
   foreign_ends_.clear();
 }
@@ -147,10 +157,11 @@ void Tracer::write_chrome_json(const std::string& path) const {
 
 void Tracer::reset() {
   traces_started_ = 0;
-  next_trace_id_ = 1;
-  next_span_id_ = 1;
+  next_trace_id_ = (static_cast<std::uint64_t>(shard_) << 56) | 1u;
+  next_span_id_ = (shard_ << kShardShift) | 1u;
   spans_.clear();
   foreign_ends_.clear();
+  first_local_ = 1;
 }
 
 }  // namespace pd::obs

@@ -78,7 +78,8 @@ class Tracer {
 
   /// Close spans whose end was observed on a different shard (collected via
   /// set_shard + absorb). Ids are globally unique, so each foreign end
-  /// matches at most one span; per-hop histograms are recorded as usual.
+  /// matches at most one span (the latest, should an id repeat); per-hop
+  /// histograms are recorded as usual.
   void resolve_foreign_ends();
 
   /// Begin a new trace: allocates a trace id (or drops the request per the
@@ -92,8 +93,11 @@ class Tracer {
                            std::string_view name, std::string_view track,
                            sim::TimePoint now);
 
-  /// Close a previously begun span. Unknown ids are ignored (a baseline
-  /// system may consume a message whose producer was instrumented).
+  /// Close a span this tracer began (found by index: span ids are dense).
+  /// Unknown ids are ignored (a baseline system may consume a message whose
+  /// producer was instrumented), except on a shard tracer, which keeps them
+  /// as foreign ends. A tracer that absorbed others resolves only the spans
+  /// it began before absorbing.
   void end_span(std::uint32_t span_id, sim::TimePoint now);
 
   [[nodiscard]] const std::vector<SpanRecord>& spans() const { return spans_; }
@@ -114,13 +118,23 @@ class Tracer {
     sim::TimePoint end_ns = 0;
   };
 
+  static constexpr std::uint32_t kShardShift = 28;
+  static constexpr std::uint32_t kLocalMask = (1u << kShardShift) - 1;
+
+  /// Set `s`'s end (no-op when already closed) and record its hop histogram.
+  void close(SpanRecord& s, sim::TimePoint now);
+
   Registry* registry_;
   std::uint64_t sample_every_ = 1;
   std::uint64_t traces_started_ = 0;
   std::uint64_t next_trace_id_ = 1;
   std::uint32_t next_span_id_ = 1;
+  std::uint32_t shard_ = 0;
   bool collect_foreign_ends_ = false;
   std::vector<SpanRecord> spans_;
+  /// Local id (low 28 bits) of spans_[0] while spans_ holds only spans this
+  /// tracer began, in begin order: ids are dense, so end_span indexes.
+  std::uint32_t first_local_ = 1;
   std::vector<ForeignEnd> foreign_ends_;
 };
 

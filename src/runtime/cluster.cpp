@@ -148,34 +148,42 @@ Cluster::Cluster(sim::ParallelSim& psim, ClusterConfig config)
     hub->tracer.set_sample_every(0);
     shard_hubs_.push_back(std::move(hub));
   }
+  displaced_.resize(psim.shard_count());
+  // The hub is the busy observer only while one of its sinks consumes
+  // charges, so sink-less runs keep a null observer on the submit path.
   psim.set_shard_hooks(
       [this](std::size_t k) {
-        obs::install_thread_hub(shard_hubs_[k].get());
-        if (ledger_enabled_) {
-          // The ledger fronts the busy-observer chain so it sees the exact
-          // interval stream; it forwards to the profiler so both fold the
-          // same charges (the conservation tests compare the two).
-          obs::Ledger& led = shard_hubs_[k]->ledger;
-          led.set_next(shard_profiling_ ? &shard_hubs_[k]->profiler : nullptr);
-          sim::install_thread_busy_observer(&led);
-        } else if (shard_profiling_) {
-          sim::install_thread_busy_observer(&shard_hubs_[k]->profiler);
+        obs::Hub* h = shard_hubs_[k].get();
+        Displaced& d = displaced_[k];
+        d.hub = obs::install_thread_hub(h);
+        if (h->observes_busy()) {
+          d.observer = sim::install_thread_busy_observer(h);
         }
       },
-      [this](std::size_t) {
-        obs::install_thread_hub(nullptr);
-        if (ledger_enabled_ || shard_profiling_) {
-          sim::install_thread_busy_observer(nullptr);
+      [this](std::size_t k) {
+        const Displaced& d = displaced_[k];
+        obs::install_thread_hub(d.hub);
+        if (shard_hubs_[k]->observes_busy()) {
+          sim::install_thread_busy_observer(d.observer);
         }
       });
+  // Setup-era work charged from this thread (SRQ fills at tenant admission,
+  // ingress and connection setup) records into the edge shard's hub until
+  // finish_setup(). The hub forwards busy charges only to the sinks that
+  // are on: the profiler once enable_shard_profiling() runs, never the
+  // ledger, which callers enable after setup.
+  obs::Hub* edge = shard_hubs_[0].get();
+  setup_displaced_ = {obs::install_thread_hub(edge),
+                      sim::install_thread_busy_observer(edge)};
 }
 
-Cluster::~Cluster() { release_setup_profiler(); }
+Cluster::~Cluster() {
+  if (!setup_done_) end_setup_window();
+}
 
-void Cluster::release_setup_profiler() {
-  if (sim::busy_observer() == &shard_hubs_[0]->profiler) {
-    sim::install_thread_busy_observer(nullptr);
-  }
+void Cluster::end_setup_window() {
+  obs::install_thread_hub(setup_displaced_.hub);
+  sim::install_thread_busy_observer(setup_displaced_.observer);
 }
 
 sim::Scheduler& Cluster::scheduler_for(NodeId node) {
@@ -192,18 +200,10 @@ void Cluster::enable_shard_tracing(std::uint64_t n) {
 }
 
 void Cluster::enable_shard_profiling() {
-  shard_profiling_ = true;
-  // Setup-era work charged from this thread before the first run (SRQ
-  // fills at tenant admission, ingress and connection setup) folds into
-  // the edge shard's profiler; finish_setup() uninstalls it before the
-  // drain, after which only the shard hooks install observers.
-  if (!setup_done_) {
-    sim::install_thread_busy_observer(&shard_hubs_[0]->profiler);
-  }
+  for (auto& hub : shard_hubs_) hub->profiling = true;
 }
 
 void Cluster::enable_ledger() {
-  ledger_enabled_ = true;
   // Pool clocks: each domain reads its own node's scheduler, so the slot-ns
   // integral advances in the node's shard time (owner-shard-local).
   for (auto& node : nodes_) {
@@ -214,7 +214,7 @@ void Cluster::enable_ledger() {
 }
 
 void Cluster::collect_pool_slot_ns() {
-  if (!ledger_enabled_) return;
+  if (!shard_hubs_[0]->ledger.enabled()) return;
   for (auto& node : nodes_) {
     obs::Ledger& led = shard_hubs_[shard_of(node->id())]->ledger;
     const sim::TimePoint now = node->scheduler().now();
@@ -239,20 +239,7 @@ void Cluster::add_slo(obs::SloSpec spec) {
 
 void Cluster::merge_observability(obs::Hub& into) {
   for (std::size_t k = 0; k < shard_hubs_.size(); ++k) {
-    obs::Hub& hub = *shard_hubs_[k];
-    // Close the trailing SLO window at the shard's final simulated time
-    // before folding, so partial-window alerts are not lost.
-    hub.slo.finish(psim_.shard(k).now());
-    into.registry.merge_from(hub.registry);
-    into.tracer.absorb(hub.tracer);
-    into.profiler.absorb(hub.profiler);
-    into.ledger.absorb(hub.ledger);
-    into.slo.absorb(hub.slo);
-    // Flight series fold in shard order; the donor recorder is emptied
-    // (and its sampler stopped) so a second merge cannot double-count.
-    into.timeseries.merge_from(hub.timeseries);
-    hub.registry.reset();
-    hub.ledger.reset();
+    into.absorb(*shard_hubs_[k], psim_.shard(k).now());
   }
   into.tracer.resolve_foreign_ends();
 }
@@ -414,33 +401,6 @@ void Cluster::register_flight_probes(WorkerNode& node,
   rec->probe("core.ring", nl + ",set=engine", [core = &node.engine_core()] {
     return static_cast<double>(core->queue_len());
   });
-}
-
-void Cluster::start_util_probes(obs::Registry& reg, sim::Duration period) {
-  PD_CHECK(util_probes_.empty(), "utilization probes already started");
-  auto add_probe = [&](NodeId id, const sim::Core& core,
-                       sim::Scheduler& sched) {
-    auto series = std::make_unique<sim::TimeSeries>(period, core.name());
-    auto probe =
-        std::make_unique<sim::UtilizationProbe>(sched, core, period, *series);
-    probe->start();
-    // Registry probe: read lazily at snapshot time, skipped by shard
-    // merges, so the gauge reflects the final completed window.
-    reg.probe("core_util",
-              "node=" + std::to_string(id.value()) + ",core=" + core.name(),
-              [p = probe.get()] { return p->last_util(); });
-    util_series_.push_back(std::move(series));
-    util_probes_.push_back(std::move(probe));
-  };
-  for (auto& node : nodes_) {
-    sim::Scheduler& sched = scheduler_for(node->id());
-    for (std::size_t i = 0; i < node->cpu().size(); ++i) {
-      add_probe(node->id(), node->cpu().core(i), sched);
-    }
-    if (&node->engine_core() != &node->cpu().core(node->cpu().size() - 1)) {
-      add_probe(node->id(), node->engine_core(), sched);
-    }
-  }
 }
 
 WorkerNode& Cluster::add_worker(NodeId id) {
@@ -668,6 +628,11 @@ CartStoreClient* Cluster::cart_client(NodeId node) {
 
 void Cluster::finish_setup() {
   PD_CHECK(!setup_done_, "finish_setup called twice");
+  // Setup windows nest: a cluster built later on this thread must finish
+  // setup first, or ending this window would drop its window.
+  PD_CHECK(obs::hub() == shard_hubs_[0].get(),
+           "finish_setup must run on the constructing thread, after every "
+           "cluster constructed later has finished setup");
   setup_done_ = true;
   // With every tenant's host scope known, drop the conservative all-pairs
   // lookahead matrix for the communication-graph one before the handshake
@@ -686,7 +651,7 @@ void Cluster::finish_setup() {
       }
     }
   }
-  release_setup_profiler();
+  end_setup_window();
   psim_.run();  // drain connection setup traffic across all shards
 }
 

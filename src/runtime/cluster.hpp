@@ -263,6 +263,9 @@ class Cluster {
   // --- observability ----------------------------------------------------------
   // Every shard records into its own obs::Hub (installed thread-locally
   // around the shard's execute phase); merge_observability folds them.
+  // From construction until finish_setup() the edge shard's hub is also
+  // installed on the constructing thread, so setup-era work lands in a
+  // shard hub too.
 
   /// Enable request tracing on the per-shard hubs (off by default; sample
   /// every `n`th trace, 0 disables again).
@@ -274,13 +277,11 @@ class Cluster {
   /// charges (to the edge shard's profiler).
   void enable_shard_profiling();
   /// Enable the per-tenant resource ledger: each shard worker
-  /// thread records occupancy / wait / blame into its own obs::Ledger
-  /// (chained in front of the shard profiler when profiling is also on),
+  /// thread records occupancy / wait / blame into its own obs::Ledger,
   /// folded together by merge_observability. Also attaches simulated-time
   /// clocks to every buffer pool so the exact slot-ns occupancy integrals
   /// accrue.
   void enable_ledger();
-  [[nodiscard]] bool ledger_enabled() const { return ledger_enabled_; }
   /// Fold every pool's slot-ns integral (through its node's final simulated
   /// time) into the owning shard's ledger. Call once, after the run drains
   /// and before merge_observability.
@@ -292,10 +293,6 @@ class Cluster {
   /// Register a latency SLO with the watchdog that observes this cluster's
   /// requests (the edge shard's hub).
   void add_slo(obs::SloSpec spec);
-  /// Start a UtilizationProbe on every worker core (host CPUs + a separate
-  /// engine core), exposing each probe's last completed window in `reg` as
-  /// `core_util{node,core}`.
-  void start_util_probes(obs::Registry& reg, sim::Duration period);
   /// Start the time-series flight recorder (ISSUE 6): registers gauge
   /// probes over every engine / RNIC / connection manager / buffer pool /
   /// core set, then begins periodic background sampling in simulated time
@@ -308,10 +305,9 @@ class Cluster {
   /// until start_flight_recorder() runs, so callers can no-op cheaply.
   [[nodiscard]] obs::FlightRecorder* flight_recorder(NodeId node);
   [[nodiscard]] bool flight_recording() const { return flight_started_; }
-  /// Fold every shard hub into `into` deterministically (shard order):
-  /// counters add, histograms merge, spans concatenate and cross-shard span
-  /// ends resolve. Call after the run; shard registries are reset so a
-  /// second merge cannot double-count.
+  /// Fold every shard hub into `into` deterministically (shard order, see
+  /// obs::Hub::absorb), then resolve cross-shard span ends. Call after the
+  /// run; the shard hubs are emptied so a second merge cannot double-count.
   void merge_observability(obs::Hub& into);
 
   /// Tenant owning a deployed function (invalid() for entries).
@@ -327,8 +323,9 @@ class Cluster {
                          const mem::BufferDescriptor& d, FunctionId dst,
                          TenantId dst_tenant);
 
-  /// Uninstall the setup-era profiler from the calling thread, if present.
-  void release_setup_profiler();
+  /// Restore the hub and busy observer the constructor displaced on the
+  /// constructing thread (end of the setup window).
+  void end_setup_window();
 
   /// Register `node`'s gauge probes on its shard's flight recorder. Every
   /// probe reads only shard-local state (the determinism contract).
@@ -372,15 +369,20 @@ class Cluster {
       cart_clients_;
   bool setup_done_ = false;
   bool flight_started_ = false;
-  std::vector<std::unique_ptr<sim::TimeSeries>> util_series_;
-  std::vector<std::unique_ptr<sim::UtilizationProbe>> util_probes_;
 
   std::unordered_map<NodeId, std::size_t> node_shard_;
   std::size_t next_shard_ = 1;  ///< shard 0 is the edge
   std::unordered_map<NodeId, sim::Rng> node_jitter_;
   std::vector<std::unique_ptr<obs::Hub>> shard_hubs_;
-  bool shard_profiling_ = false;
-  bool ledger_enabled_ = false;
+  /// What a hub install displaced on its thread, put back afterwards.
+  struct Displaced {
+    obs::Hub* hub = nullptr;
+    sim::BusyObserver* observer = nullptr;
+  };
+  /// Per shard, for the enter/leave hooks (a shard runs on one thread at a
+  /// time, so each slot has one writer).
+  std::vector<Displaced> displaced_;
+  Displaced setup_displaced_;  ///< the setup window's, see end_setup_window
 };
 
 }  // namespace pd::runtime

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "core/engine.hpp"
-#include "obs/hub.hpp"
 #include "runtime/statestore.hpp"
 
 namespace pd::runtime {
@@ -100,12 +99,6 @@ void export_metrics(Cluster& cluster, obs::Registry& reg) {
   for (std::size_t k = 0; k < psim.shard_count(); ++k) {
     reg.counter("pdes.shard_events", "shard=" + std::to_string(k))
         .set(psim.shard(k).events_processed());
-  }
-
-  // When the installed hub collected an exact busy-time profile, fold its
-  // per-(component, tenant) summary in alongside the data-plane counters.
-  if (obs::Hub* hub = obs::hub(); hub != nullptr && !hub->profiler.empty()) {
-    hub->profiler.export_folded(reg);
   }
 }
 

@@ -9,9 +9,11 @@
 // sampling-free profiler with zero statistical error.
 //
 // The observer is a single thread-local pointer, installed by the parallel
-// simulation's shard enter/leave hooks: a null observer makes the hook one
-// predicted branch, and installing one can never perturb simulation
-// results — observers only record, they never schedule events.
+// simulation's shard enter/leave hooks (the runtime installs the shard's
+// obs::Hub, which fans each charge out to its profiler and ledger): a null
+// observer makes the hook one predicted branch, and installing one can
+// never perturb simulation results — observers only record, they never
+// schedule events.
 #pragma once
 
 #include <cstdint>
@@ -30,39 +32,25 @@ struct ProfileFrame {
 };
 
 /// Receives one callback per charged busy interval. `resource` is the name
-/// of the core (or DMA engine) doing the work; `scaled_ns` is the busy time
-/// in that resource's own nanoseconds.
+/// of the core (or DMA engine) doing the work. FIFO resources report *when*
+/// the charged work runs: it was submitted at `submitted`, starts at `begin`
+/// (= max(free_at, now), so begin - submitted is the queue wait behind
+/// earlier jobs), and occupies the resource for `scaled_ns` of its own
+/// nanoseconds. `bytes` is the payload size for byte-denominated resources
+/// (DMA), 0 otherwise.
 class BusyObserver {
  public:
   virtual ~BusyObserver() = default;
   virtual void on_busy(std::string_view resource, const ProfileFrame& frame,
-                       Duration scaled_ns) = 0;
-  /// Interval-resolved companion to on_busy (ISSUE 10 ledger). FIFO
-  /// resources (cores, the SoC DMA engine) also report *when* the charged
-  /// work runs: it was submitted at `submitted`, starts at `begin`
-  /// (= max(free_at, now), so begin - submitted is the queue wait behind
-  /// earlier jobs), and occupies the resource for `scaled_ns`. `bytes` is
-  /// the payload size for byte-denominated resources (DMA), 0 otherwise.
-  /// Default no-op so observers that only fold totals (the profiler) pay
-  /// nothing.
-  virtual void on_busy_interval(std::string_view resource,
-                                const ProfileFrame& frame, TimePoint submitted,
-                                TimePoint begin, Duration scaled_ns,
-                                std::uint64_t bytes) {
-    (void)resource;
-    (void)frame;
-    (void)submitted;
-    (void)begin;
-    (void)scaled_ns;
-    (void)bytes;
-  }
+                       TimePoint submitted, TimePoint begin,
+                       Duration scaled_ns, std::uint64_t bytes) = 0;
 };
 
 /// This thread's installed observer, or nullptr when profiling is off.
 [[nodiscard]] BusyObserver* busy_observer();
 
 /// Install `o` for THIS thread only (parallel shard enter/leave hooks);
-/// nullptr uninstalls. Returns the previous one.
+/// nullptr uninstalls. Returns the previous one so callers can restore it.
 BusyObserver* install_thread_busy_observer(BusyObserver* o);
 
 /// The innermost active frame on this thread ("other" when none).

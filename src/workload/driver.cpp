@@ -59,7 +59,10 @@ void ChainDriver::on_response(const mem::BufferDescriptor& d) {
   auto& pool = cluster_.worker(node_).memory().by_pool(d.pool).pool();
   const core::MessageHeader h =
       core::read_header(pool.access(d, mem::actor_function(entry_)));
-  PD_CHECK(h.is_response(), "driver received a non-response");
+  // An engine-level error completion returns the request itself, flagged
+  // error but not response; the is_error() branch below accounts it.
+  PD_CHECK(h.is_response() || h.is_error(),
+           "driver received a non-response");
   core::trace_finish(h, cluster_.scheduler_for(node_).now());
   pool.release(d, mem::actor_function(entry_));
 
@@ -150,11 +153,9 @@ void BurstyLoad::arrival() {
 
 void BurstyLoad::on_response(const mem::BufferDescriptor& d) {
   auto& pool = cluster_.worker(node_).memory().by_pool(d.pool).pool();
-  if (obs::hub() != nullptr) {
-    const core::MessageHeader h =
-        core::read_header(pool.access(d, mem::actor_function(entry_)));
-    core::trace_finish(h, cluster_.scheduler_for(node_).now());
-  }
+  const core::MessageHeader h =
+      core::read_header(pool.access(d, mem::actor_function(entry_)));
+  core::trace_finish(h, cluster_.scheduler_for(node_).now());
   pool.release(d, mem::actor_function(entry_));
   completions_.increment(cluster_.scheduler_for(node_).now());
   ++completed_;

@@ -10,8 +10,9 @@
 // healthy run must end with zero open spans, the quantile breakdown must
 // sum to the end-to-end quantile latency exactly, a seeded chaos replay
 // (with engine stalls in the plan) must surface "retransmit" hops and trip
-// the SLO burn-rate alert identically on every replay, and the exact
-// profiler must account for 100% of every core's busy time.
+// the SLO burn-rate alert identically on every replay, the exact
+// profiler must account for 100% of every core's busy time, and the merged
+// artifacts of an all-sinks run must not depend on an installed Session.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +26,9 @@
 #include "obs/hub.hpp"
 #include "runtime/boutique.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/metrics_export.hpp"
 #include "sim/parallel.hpp"
+#include "sim/profile.hpp"
 #include "workload/http_client.hpp"
 
 namespace {
@@ -406,16 +409,29 @@ TEST(ProfilerBoutique, AccountsEveryCoreBusyNanosecond) {
 }
 
 // ---------------------------------------------------------------------------
-// core_util registry gauge from UtilizationProbes.
+// The shard hubs are the only recording path: a Session changes nothing.
 // ---------------------------------------------------------------------------
 
-TEST(UtilProbesBoutique, CoreUtilGaugeExported) {
-  sim::ParallelSim psim(1);
+struct SinkArtifacts {
+  std::string registry;
+  std::string ledger;
+  std::string collapsed;
+  std::string chrome;
+};
+
+/// One boutique run with every sink on (trace, profile from before setup,
+/// ledger, flight recorder, SLO), merged into a fresh hub. Also checks that
+/// setup and each run leave the calling thread's hub and busy observer as
+/// they found them.
+SinkArtifacts run_all_sinks() {
+  obs::Hub* const caller_hub = obs::hub();
+  sim::BusyObserver* const caller_observer = sim::busy_observer();
+  sim::ParallelSim psim(/*shards=*/3, /*threads=*/1);
   runtime::ClusterConfig cfg;
-  cfg.cpu_cores_per_node = 4;
-  cfg.pool_buffers = 1024;
+  cfg.cpu_cores_per_node = 8;
   cfg.system = runtime::SystemKind::kPalladiumDne;
   runtime::Cluster cluster(psim, cfg);
+  cluster.enable_shard_profiling();
   cluster.add_worker(kNode1);
   cluster.add_worker(kNode2);
   runtime::OnlineBoutique::deploy(cluster, kNode1, kNode2);
@@ -427,26 +443,69 @@ TEST(UtilProbesBoutique, CoreUtilGaugeExported) {
   ing.expose_chain("/run", runtime::OnlineBoutique::kHomeQuery);
   ing.finish_setup();
   cluster.finish_setup();
+  EXPECT_EQ(obs::hub(), caller_hub);
+  EXPECT_EQ(sim::busy_observer(), caller_observer);
 
-  obs::Hub hub;
-  cluster.start_util_probes(hub.registry, 1'000'000);
+  cluster.enable_shard_tracing(1);
+  cluster.enable_ledger();
+  ing.attach_pool_clock();
+  cluster.start_flight_recorder({});
+  ing.start_flight_probes();
+  obs::SloSpec spec;
+  spec.name = "home";
+  spec.tenant = runtime::OnlineBoutique::kTenant;
+  spec.chain = runtime::OnlineBoutique::kHomeQuery;
+  spec.target_ns = 2'500'000;
+  cluster.add_slo(spec);
 
   workload::HttpLoadGen::Config wcfg;
   wcfg.target = "/run";
   wcfg.body = std::string(64, 'x');
-  wcfg.client_cores = 2;
+  wcfg.client_cores = 4;
   workload::HttpLoadGen wrk(psim.shard(0), ing, wcfg);
-  wrk.add_clients(2);
-
+  wrk.add_clients(4);
   psim.run_until(psim.shard(0).now() + 10'000'000);
+  EXPECT_EQ(obs::hub(), caller_hub);
+  EXPECT_EQ(sim::busy_observer(), caller_observer);
   wrk.stop();
   psim.run();
+  EXPECT_EQ(obs::hub(), caller_hub);
+  EXPECT_EQ(sim::busy_observer(), caller_observer);
+  EXPECT_GT(wrk.latencies().count(), 0u);
 
-  const std::string json = hub.registry.to_json();
-  EXPECT_NE(json.find("core_util"), std::string::npos);
-  // Per-core labels for both workers' host cores and the engine core.
-  EXPECT_NE(json.find("node=1,core=node1/cpu/0"), std::string::npos);
-  EXPECT_NE(json.find("node=2,core=node2/cpu/0"), std::string::npos);
+  cluster.collect_pool_slot_ns();
+  ing.collect_pool_slot_ns(cluster.edge_hub()->ledger);
+  obs::Hub merged;
+  cluster.merge_observability(merged);
+  runtime::export_metrics(cluster, merged.registry);
+  merged.profiler.export_folded(merged.registry);
+  merged.ledger.export_metrics(merged.registry);
+  return {merged.registry.to_json(), merged.ledger.to_json(),
+          merged.profiler.to_collapsed(), merged.tracer.to_chrome_json()};
+}
+
+TEST(ObsPath, MergedArtifactsDoNotDependOnASession) {
+  const SinkArtifacts bare = run_all_sinks();
+  ASSERT_NE(bare.ledger.find("busy_ns"), std::string::npos);
+  ASSERT_FALSE(bare.collapsed.empty());
+  ASSERT_NE(bare.chrome.find("\"ph\":\"X\""), std::string::npos);
+
+  obs::Hub session_hub;
+  SinkArtifacts with_session;
+  {
+    obs::Session session(session_hub);
+    with_session = run_all_sinks();
+    EXPECT_EQ(obs::hub(), &session_hub);
+  }
+  EXPECT_EQ(obs::hub(), nullptr);
+  EXPECT_EQ(with_session.registry, bare.registry);
+  EXPECT_EQ(with_session.ledger, bare.ledger);
+  EXPECT_EQ(with_session.collapsed, bare.collapsed);
+  EXPECT_EQ(with_session.chrome, bare.chrome);
+  // Setup-era work recorded into the edge shard's hub, not the session's.
+  EXPECT_EQ(session_hub.registry.size(), 0u);
+  EXPECT_TRUE(session_hub.tracer.spans().empty());
+  EXPECT_TRUE(session_hub.profiler.empty());
 }
 
 }  // namespace

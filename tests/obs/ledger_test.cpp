@@ -2,8 +2,8 @@
 //
 // The tentpole's acceptance criteria, as tests: blame conserves exactly
 // (per victim, the blame rows sum to the measured wait with zero
-// residual), the ledger chained in front of the profiler folds the same
-// busy stream to the same total, shard merges are order-independent down
+// residual), the hub feeds the ledger and the profiler the same busy
+// stream to the same total, shard merges are order-independent down
 // to the exported report bytes, the noisy-neighbor overload run produces
 // byte-identical ledger artifacts across worker thread counts and across
 // seeded chaos replays, and the blame-driven shedding policy targets the
@@ -18,8 +18,8 @@
 #include <string>
 #include <utility>
 
+#include "obs/hub.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/runcompare.hpp"
 #include "scenarios/scenario.hpp"
 #include "sim/profile.hpp"
@@ -63,38 +63,49 @@ TEST(Ledger, WaitBlameConservesExactly) {
   EXPECT_EQ(led.top_aggressor(1), -1);
 }
 
-TEST(Ledger, BusyIntervalChainsToProfiler) {
-  // The ledger fronts the observer chain; the profiler behind it must see
-  // the identical charge stream, so the two totals agree exactly — the
-  // same conservation discipline the full runs assert via profile.busy_ns.
-  Ledger led;
-  led.set_enabled(true);
-  Profiler prof;
-  led.set_next(&prof);
+TEST(Hub, OneBusyStreamFeedsProfilerAndLedger) {
+  // The hub is the only busy observer: each charge reaches the profiler and
+  // the ledger from one on_busy call, so the two totals agree exactly —
+  // the same conservation discipline the full runs assert via
+  // profile.busy_ns.
+  Hub hub;
+  hub.profiling = true;
+  hub.ledger.set_enabled(true);
+  sim::BusyObserver& observer = hub;
+  const Ledger& led = hub.ledger;
 
   const sim::ProfileFrame f1{"fn", "work", 1};
   const sim::ProfileFrame f2{"fn", "work", 2};
-  // Mirror the Core::submit call site: on_busy for totals, then the
-  // interval-resolved companion.
-  led.on_busy("node0/core0", f1, 1000);
-  led.on_busy_interval("node0/core0", f1, 0, 0, 1000, 0);
+  observer.on_busy("node0/core0", f1, 0, 0, 1000, 0);
   // Second job submitted at 500 but starts at 1000 (behind tenant 1's
   // job): the 500 ns queue wait is charged to tenant 2 and blamed on
   // tenant 1, whose occupancy covers the whole window.
-  led.on_busy("node0/core0", f2, 2000);
-  led.on_busy_interval("node0/core0", f2, 500, 1000, 2000, 0);
+  observer.on_busy("node0/core0", f2, 500, 1000, 2000, 0);
 
   EXPECT_EQ(led.totals(LedgerKind::kCore).busy_ns, 3000u);
-  EXPECT_EQ(prof.total_ns(), 3000u);
+  EXPECT_EQ(hub.profiler.total_ns(), 3000u);
   EXPECT_EQ(led.busy_ns(LedgerKind::kCore, 1), 1000u);
   EXPECT_EQ(led.busy_ns(LedgerKind::kCore, 2), 2000u);
   EXPECT_EQ(led.wait_ns(LedgerKind::kCore, 2), 500u);
   EXPECT_EQ(led.blame_ns(1, 2), 500u);
 
   // DMA engines ("<node>/dma") classify as kDma and carry bytes.
-  led.on_busy_interval("node0/dma", f1, 0, 0, 700, 4096);
+  observer.on_busy("node0/dma", f1, 0, 0, 700, 4096);
   EXPECT_EQ(led.totals(LedgerKind::kDma).busy_ns, 700u);
   EXPECT_EQ(led.bytes(LedgerKind::kDma, 1), 4096u);
+
+  // Each sink has its own switch: a ledger-only hub leaves the profiler
+  // empty, a profile-only hub leaves the ledger empty.
+  Hub ledger_only;
+  ledger_only.ledger.set_enabled(true);
+  ledger_only.on_busy("node0/core0", f1, 0, 0, 1000, 0);
+  EXPECT_TRUE(ledger_only.profiler.empty());
+  EXPECT_EQ(ledger_only.ledger.totals(LedgerKind::kCore).busy_ns, 1000u);
+  Hub profile_only;
+  profile_only.profiling = true;
+  profile_only.on_busy("node0/core0", f1, 0, 0, 1000, 0);
+  EXPECT_TRUE(profile_only.ledger.empty());
+  EXPECT_EQ(profile_only.profiler.total_ns(), 1000u);
 }
 
 TEST(Ledger, QueueFifoBracketsWaitPerTenant) {

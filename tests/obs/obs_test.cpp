@@ -55,14 +55,6 @@ TEST(Registry, KindMismatchThrows) {
   EXPECT_THROW(static_cast<void>(reg.histogram_at("x")), CheckFailure);
 }
 
-TEST(Registry, ProbeSampledAtSnapshotTime) {
-  obs::Registry reg;
-  double depth = 1.0;
-  reg.probe("queue_depth", "", [&depth] { return depth; });
-  depth = 42.0;
-  EXPECT_NE(reg.to_json().find("\"queue_depth\": 42"), std::string::npos);
-}
-
 TEST(Registry, SnapshotsAreDeterministicAndSorted) {
   auto fill = [](obs::Registry& reg) {
     reg.counter("z_last").inc(7);
@@ -147,6 +139,33 @@ TEST(Tracer, EndSpanIsIdempotentAndTolerant) {
   tracer.end_span(12345, 50);          // unknown id: ignored
   ASSERT_EQ(tracer.spans().size(), 1u);
   EXPECT_EQ(tracer.spans()[0].end_ns, 10);
+}
+
+TEST(Tracer, ShardTracerFindsOwnSpansAfterMergeAndReset) {
+  obs::Tracer shard;
+  shard.set_shard(1);
+  const auto first = shard.start_trace("t", 0);
+  shard.end_span(first.root_span, 10);
+  shard.end_span(5, 10);  // tagged shard 0: kept as a foreign end
+  obs::Tracer merged;
+  merged.absorb(shard);
+  merged.resolve_foreign_ends();
+  ASSERT_EQ(merged.spans().size(), 1u);
+  EXPECT_EQ(merged.spans()[0].end_ns, 10);
+
+  // The donor keeps numbering after a merge and still closes what it
+  // begins next.
+  const auto next = shard.start_trace("t", 20);
+  EXPECT_EQ(next.root_span, first.root_span + 1);
+  shard.end_span(next.root_span, 30);
+  EXPECT_EQ(shard.open_spans(), 0u);
+
+  // A reset restarts the numbering under the same shard tag.
+  shard.reset();
+  const auto again = shard.start_trace("t", 40);
+  EXPECT_EQ(again.root_span, first.root_span);
+  shard.end_span(again.root_span, 50);
+  EXPECT_EQ(shard.open_spans(), 0u);
 }
 
 TEST(Tracer, SamplingKeepsEveryNth) {

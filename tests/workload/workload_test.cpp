@@ -44,6 +44,41 @@ TEST(ChainDriver, ClosedLoopKeepsExactlyNClientsOutstanding) {
   EXPECT_EQ(driver.latencies().count(), driver.completed());
 }
 
+TEST(ChainDriver, EngineErrorCompletionCountsFailedAndLoopContinues) {
+  // With room for one unacknowledged send, the entry node's engine sheds
+  // most of eight clients' requests at admission. Each shed request comes
+  // back to the driver as an engine error completion: the request itself,
+  // flagged error but not response. The driver must count it failed and
+  // keep its closed loop going.
+  sim::ParallelSim psim(1);
+  sim::Scheduler& sched = psim.shard(0);
+  runtime::ClusterConfig cfg;
+  cfg.system = runtime::SystemKind::kPalladiumDne;
+  cfg.pool_buffers = 512;
+  cfg.engine.max_unacked = 1;
+  runtime::Cluster cluster(psim, cfg);
+  cluster.add_worker(kNode1);
+  cluster.add_worker(kNode2);
+  cluster.add_tenant(kTenant, 1);
+  cluster.deploy(runtime::FunctionSpec{kEcho, "echo", kTenant}, kNode2);
+  cluster.add_chain(runtime::Chain{1, "echo", kTenant, 64,
+                                   {{kEcho, 5'000, 64}}});
+  ChainDriver driver(cluster, FunctionId{100}, kNode1, 1);
+  cluster.finish_setup();
+  driver.start(8);
+  ASSERT_NO_THROW(psim.run_until(sched.now() + 50'000'000));
+  const std::uint64_t failed = driver.failed();
+  const std::uint64_t completed = driver.completed();
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(completed, 0u);
+  // The loop is still running: another stretch adds outcomes of both kinds.
+  ASSERT_NO_THROW(psim.run_until(sched.now() + 50'000'000));
+  EXPECT_GT(driver.failed(), failed);
+  EXPECT_GT(driver.completed(), completed);
+  driver.stop();
+  ASSERT_NO_THROW(psim.run());
+}
+
 TEST(ChainDriver, RpsWindowQuery) {
   sim::ParallelSim psim(1);
   sim::Scheduler& sched = psim.shard(0);

@@ -10,9 +10,10 @@
 #   tools/run_all.sh chaos   build, run the chaos-labeled ctest suite, then
 #                            sweep 10 fault-plan seeds through the boutique
 #                            demo; fails if any seed loses a request
-#   tools/run_all.sh bench   build, then run the wall-clock perf gate sweep
-#                            against the committed BENCH_PR3.json baseline;
-#                            fails on >10% events/sec regression
+#   tools/run_all.sh bench   build, then run tools/bench_gate.sh: the wall-
+#                            clock perf gate sweep against a baseline
+#                            recorded on this machine (recorded first when
+#                            missing); fails on >10% events/sec regression
 #   tools/run_all.sh tsan    build with -DPD_SANITIZE=thread into build-tsan/
 #                            and smoke the parallel epoch-barrier loop (the
 #                            pdes determinism suite + a threaded perf_gate
@@ -56,6 +57,12 @@
 #                            timeline artifacts into obs_report/, byte-
 #                            compared across --threads 1/2/4 and diffed
 #                            against the committed golden via report_diff
+#   tools/run_all.sh perfbench  run the perfbench self-tests, then
+#                            perfbench/run.py for 2 s on every workload plus
+#                            a traced tenant_cart run (ledger, flamegraph,
+#                            cross-shard span merge); fails unless every
+#                            run's result line reports "correct": true and
+#                            "failed": 0
 set -e
 cd "$(dirname "$0")/.."
 
@@ -63,6 +70,38 @@ if [ "$1" = "bench" ]; then
   cmake -B build -G Ninja
   cmake --build build
   exec tools/bench_gate.sh
+fi
+
+if [ "$1" = "perfbench" ]; then
+  # run.py builds its own tree (.bench_build/) and exits 0 even when the
+  # simulated outcome is wrong, so the gate parses each result line.
+  if ! python3 -m unittest discover -s perfbench/tests \
+      > perfbench_output.txt 2>&1; then
+    cat perfbench_output.txt
+    echo "perfbench FAILED: self-tests" >&2
+    exit 1
+  fi
+  tail -3 perfbench_output.txt
+  for run in "pair_home 0" "leafspine_scale 0" "tenant_cart 0" \
+             "tenant_cart 1"; do
+    set -- $run
+    echo "=== perfbench/run.py --workload $1 --seconds 2 --trace $2 ===" \
+      | tee -a perfbench_output.txt
+    python3 perfbench/run.py --workload "$1" --seconds 2 --trace "$2" \
+      | tail -1 > perfbench_result.json
+    cat perfbench_result.json >> perfbench_output.txt
+    if ! python3 -c 'import json, sys
+r = json.load(open(sys.argv[1]))
+print("correct=%s attempted=%s failed=%s" % (r["correct"], r["attempted"],
+                                            r["failed"]))
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+        perfbench_result.json; then
+      echo "perfbench FAILED: $1 --trace $2 missed the outcome gate" >&2
+      exit 1
+    fi
+  done
+  echo "perfbench passed: every workload correct, no failed requests"
+  exit 0
 fi
 
 if [ "$1" = "chaos" ]; then
