@@ -23,6 +23,9 @@ constexpr sim::Duration kRun = 1'500'000'000;
 
 struct Result {
   double rps = 0;
+  /// Requests that came back as explicit error completions (a run whose
+  /// RPS collapses shows why here, not as a silently small number).
+  std::uint64_t failed = 0;
   double p99_us = 0;
   std::uint64_t rnr = 0;
   std::uint64_t cache_miss = 0;
@@ -65,6 +68,7 @@ Result run_echo(core::EngineConfig engine_cfg, int tenants, int clients) {
   sim::LatencyHistogram merged;
   for (auto& d : drivers) {
     total += d->completed();
+    r.failed += d->failed();
     merged.merge(d->latencies());
   }
   r.rps = static_cast<double>(total) / sim::to_sec(kRun);
@@ -85,12 +89,13 @@ int main() {
       "Ablation A: RX CQE batch size (run-to-completion loop, §3.2)\n"
       "Batching amortizes loop dispatch on the wimpy DPU core");
   {
-    Table t({"rx_batch", "RPS", "p99 (us)"});
+    Table t({"rx_batch", "RPS", "p99 (us)", "failed"});
     for (int batch : {1, 4, 8, 32}) {
       core::EngineConfig cfg;
       cfg.rx_batch = batch;
       const auto r = run_echo(cfg, 1, 32);
-      t.add_row({std::to_string(batch), fmt_k(r.rps), fmt(r.p99_us)});
+      t.add_row({std::to_string(batch), fmt_k(r.rps), fmt(r.p99_us),
+                 std::to_string(r.failed)});
     }
     t.print();
   }
@@ -99,12 +104,13 @@ int main() {
       "Ablation B: RC connections per (peer, tenant) (§3.3)\n"
       "Wider pools spread outstanding WRs across QPs");
   {
-    Table t({"rc_connections", "RPS", "p99 (us)"});
+    Table t({"rc_connections", "RPS", "p99 (us)", "failed"});
     for (int conns : {1, 2, 4, 8}) {
       core::EngineConfig cfg;
       cfg.rc_connections = conns;
       const auto r = run_echo(cfg, 1, 32);
-      t.add_row({std::to_string(conns), fmt_k(r.rps), fmt(r.p99_us)});
+      t.add_row({std::to_string(conns), fmt_k(r.rps), fmt(r.p99_us),
+                 std::to_string(r.failed)});
     }
     t.print();
   }
@@ -115,13 +121,13 @@ int main() {
       "active QPs. Uncapped, every QP stays active and thrashes the cache\n"
       "(per-WR penalty); the shadow-QP cap keeps the active set resident");
   {
-    Table t({"active-QP policy", "RPS", "QP cache misses"});
+    Table t({"active-QP policy", "RPS", "QP cache misses", "failed"});
     {
       core::EngineConfig cfg;
       cfg.rc_connections = 1;  // 96 tenants = 96 QPs > 64 cache slots
       const auto r = run_echo(cfg, 96, 2);
       t.add_row({"capped at cache size (PALLADIUM)", fmt_k(r.rps),
-                 std::to_string(r.cache_miss)});
+                 std::to_string(r.cache_miss), std::to_string(r.failed)});
     }
     {
       core::EngineConfig cfg;
@@ -129,7 +135,7 @@ int main() {
       cfg.max_active_qps = 4096;  // effectively uncapped
       const auto r = run_echo(cfg, 96, 2);
       t.add_row({"uncapped (always-active QPs)", fmt_k(r.rps),
-                 std::to_string(r.cache_miss)});
+                 std::to_string(r.cache_miss), std::to_string(r.failed)});
     }
     t.print();
   }
@@ -139,7 +145,8 @@ int main() {
       "The core-thread replenisher must outrun consumption; shallow SRQs\n"
       "stall senders in receiver-not-ready state");
   {
-    Table t({"srq_fill", "replenish period (us)", "RPS", "RNR events"});
+    Table t({"srq_fill", "replenish period (us)", "RPS", "RNR events",
+             "failed"});
     struct Cfg { int fill; sim::Duration period; };
     for (const Cfg c : {Cfg{4, 200'000}, Cfg{16, 50'000}, Cfg{64, 20'000},
                         Cfg{256, 20'000}}) {
@@ -148,7 +155,8 @@ int main() {
       cfg.replenish_period = c.period;
       const auto r = run_echo(cfg, 1, 64);
       t.add_row({std::to_string(c.fill), fmt(static_cast<double>(c.period) / 1e3, 0),
-                 fmt_k(r.rps), std::to_string(r.rnr)});
+                 fmt_k(r.rps), std::to_string(r.rnr),
+                 std::to_string(r.failed)});
     }
     t.print();
   }

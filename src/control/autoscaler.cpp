@@ -6,6 +6,30 @@
 #include "obs/hub.hpp"
 
 namespace pd::control {
+namespace {
+
+/// EdgeController thresholds. Burn at/above kBurnUp is a scale-up signal;
+/// burn at/below kBurnDown with at most kPendingDown requests per worker
+/// is a scale-down signal. Admission pressure engages once the watched
+/// burn holds at/above kPressureOn for kPressureOnHysteresis periods.
+constexpr double kBurnUp = 1.0;
+constexpr double kBurnDown = 0.25;
+constexpr std::size_t kPendingDown = 4;
+constexpr double kPressureOn = 1.0;
+constexpr int kPressureOnHysteresis = 2;
+/// "Quiet" means the worker cores are drained too, not just that the
+/// pending-request map is empty: a pool mid-restart has its requests
+/// parked on the cores before parsing, invisible to pending_requests(),
+/// and the burn signal decays during the stall. Down-scaling or releasing
+/// pressure on that false idle re-restarts the pool and extends the
+/// outage, so both hold while the cores carry more than this much queued
+/// work.
+constexpr sim::Duration kWorkerBacklogQuietNs = 1'000'000;  // 1 ms
+/// InstanceAutoscaler: scale down when at most this many compute jobs are
+/// pending across the replicas.
+constexpr std::uint64_t kJobsDown = 1;
+
+}  // namespace
 
 const char* to_string(ShedPolicy policy) {
   switch (policy) {
@@ -59,7 +83,7 @@ void EdgeController::tick() {
   const std::size_t pending = ingress_.pending_requests();
   const auto per_worker = pending / static_cast<std::size_t>(workers);
   const bool cores_quiet =
-      ingress_.worker_backlog_ns() <= config_.worker_backlog_quiet_ns;
+      ingress_.worker_backlog_ns() <= kWorkerBacklogQuietNs;
 
   if (hub != nullptr) {
     // Integer-valued gauges only: these land in merged metrics snapshots
@@ -75,9 +99,9 @@ void EdgeController::tick() {
 
   // --- horizontal worker scaling ------------------------------------------
   const bool up_signal =
-      burn >= config_.burn_up || per_worker >= config_.pending_up;
-  const bool down_signal = burn <= config_.burn_down &&
-                           per_worker <= config_.pending_down && cores_quiet;
+      burn >= kBurnUp || per_worker >= config_.pending_up;
+  const bool down_signal =
+      burn <= kBurnDown && per_worker <= kPendingDown && cores_quiet;
   if (up_signal) {
     ++up_run_;
     down_run_ = 0;
@@ -94,7 +118,7 @@ void EdgeController::tick() {
       workers < max_workers) {
     ingress_.scale_to(workers + 1);
     events_.push_back(ScaleEvent{sched_.now(), "ingress", workers, workers + 1,
-                                 burn >= config_.burn_up ? "burn" : "backlog"});
+                                 burn >= kBurnUp ? "burn" : "backlog"});
     if (hub != nullptr) hub->registry.counter("control.scale_up", "").inc();
     cooldown_ = config_.cooldown;
     up_run_ = 0;
@@ -110,7 +134,7 @@ void EdgeController::tick() {
 
   // --- admission pressure ---------------------------------------------------
   if (admission_ != nullptr) {
-    if (pressure_burn >= config_.pressure_on) {
+    if (pressure_burn >= kPressureOn) {
       ++p_on_run_;
       p_off_run_ = 0;
     } else if (pressure_burn <= config_.pressure_off && cores_quiet) {
@@ -119,7 +143,7 @@ void EdgeController::tick() {
     } else {
       p_on_run_ = p_off_run_ = 0;
     }
-    if (!admission_->pressure() && p_on_run_ >= config_.pressure_on_hysteresis) {
+    if (!admission_->pressure() && p_on_run_ >= kPressureOnHysteresis) {
       admission_->set_pressure(true);
       events_.push_back(ScaleEvent{sched_.now(), "pressure", 0, 1, "burn"});
       if (hub != nullptr) hub->registry.counter("control.pressure_on", "").inc();
@@ -186,7 +210,7 @@ void InstanceAutoscaler::tick() {
 
   const bool up_signal =
       per_replica >= config_.jobs_up && active < fn_.replica_capacity();
-  const bool down_signal = jobs <= config_.jobs_down && active > 1;
+  const bool down_signal = jobs <= kJobsDown && active > 1;
   if (up_signal) {
     ++up_run_;
     down_run_ = 0;

@@ -54,37 +54,23 @@ enum class ShedPolicy : std::uint8_t { kBurnRate, kBlame };
 
 struct EdgeControllerConfig {
   sim::Duration period = 50'000'000;  // 50 ms control loop
-  /// Scale-up signal: SLO burn at/above this, or pending requests per
-  /// active worker at/above pending_up.
-  double burn_up = 1.0;
+  /// Scale-up signal: SLO burn at/above 1.0, or pending requests per
+  /// active worker at/above pending_up. Scale-down signal: burn at/below
+  /// 0.25 AND at most 4 pending requests per worker AND quiet worker cores.
   std::size_t pending_up = 48;
-  /// Scale-down signal: burn at/below burn_down AND backlog per worker
-  /// at/below pending_down.
-  double burn_down = 0.25;
-  std::size_t pending_down = 4;
   int up_hysteresis = 2;    ///< consecutive up-signal periods before acting
   int down_hysteresis = 8;  ///< consecutive down-signal periods before acting
   int cooldown = 4;         ///< quiet periods after any scaling action
   /// Admission pressure: engage when the watched SLO's burn holds at/above
-  /// pressure_on for pressure_on_hysteresis periods; release when it holds
-  /// at/below pressure_off for pressure_off_hysteresis periods.
-  double pressure_on = 1.0;
+  /// 1.0 for two periods; release when it holds at/below pressure_off for
+  /// pressure_off_hysteresis periods.
   double pressure_off = 0.5;
-  int pressure_on_hysteresis = 2;
   int pressure_off_hysteresis = 8;
   /// SLO spec name whose burn drives admission pressure ("" = max over all
   /// specs). Point this at the *protected* tenant's SLO: shedding the
   /// aggressor keeps burning the aggressor's own SLO, and feeding that
   /// back would latch pressure on forever.
   std::string pressure_slo;
-  /// "Quiet" means the worker cores are drained too, not just that the
-  /// pending-request map is empty: a pool mid-restart has its requests
-  /// parked on the cores before parsing, invisible to pending_requests(),
-  /// and the burn signal decays during the stall. Down-scaling or
-  /// releasing pressure on that false idle re-restarts the pool and
-  /// extends the outage, so both hold while the cores carry more than
-  /// this much queued work.
-  sim::Duration worker_backlog_quiet_ns = 1'000'000;  // 1 ms
   /// Shedding policy under pressure (see ShedPolicy). kBlame requires the
   /// resource ledger to be enabled and `protected_tenant` set; with no
   /// measured aggressor it degrades to kBurnRate behaviour.
@@ -129,9 +115,8 @@ class EdgeController {
 struct InstanceAutoscalerConfig {
   sim::Duration period = 50'000'000;  // 50 ms control loop
   /// Scale up when pending compute jobs per active replica reach this.
+  /// Scale down when at most one job is pending with >1 replica.
   std::uint64_t jobs_up = 4;
-  /// Scale down when total pending jobs are at/below this with >1 replica.
-  std::uint64_t jobs_down = 1;
   int up_hysteresis = 2;
   int down_hysteresis = 8;
   int cooldown = 2;

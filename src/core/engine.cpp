@@ -35,9 +35,8 @@ NetworkEngine::NetworkEngine(sim::Scheduler& sched, EngineKind kind,
            "bad engine config");
   PD_CHECK(!config_.tenant_admission || config_.use_dwrr,
            "tenant_admission requires DWRR scheduling");
-  PD_CHECK(!config_.tenant_admission || reliable(),
-           "tenant_admission partitions the reliability window; enable "
-           "retransmit_timeout");
+  PD_CHECK(config_.retransmit_timeout > 0,
+           "retransmit_timeout must be positive");
 
   if (kind_ == EngineKind::kCne) {
     sockmap_ = std::make_unique<ipc::SockMap>(sched_);
@@ -59,10 +58,6 @@ NetworkEngine::NetworkEngine(sim::Scheduler& sched, EngineKind kind,
   ledger_queue_ = track_ + "/txq";
 
   rnic_.cq().set_notify([this] { kick_rx(); });
-  rnic_.cq().set_coalescing(
-      &sched_, static_cast<std::size_t>(std::max(config_.cq_coalesce_batch, 1)),
-      config_.cq_coalesce_window);
-  rnic_.set_rnr_queue_limit(config_.rnr_queue_limit);
   // The reliability layer's ACK/NACK control channel (hardware-generated
   // in the real DNE: no engine-core cost on either end).
   rnic_.network().set_datagram_handler(
@@ -222,7 +217,7 @@ void NetworkEngine::on_ingest(const mem::BufferDescriptor& d) {
   auto tit = tenants_.find(d.tenant);
   PD_CHECK(tit != tenants_.end(),
            "message from unknown tenant " << d.tenant);
-  if (reliable() && config_.tenant_admission) {
+  if (config_.tenant_admission) {
     // Tenant-scoped credit gate (ISSUE 7): occupancy counts both what the
     // tenant has queued in the scheduler and what it has in the reliability
     // window, so a tenant saturating either stage is shed individually.
@@ -242,7 +237,7 @@ void NetworkEngine::on_ingest(const mem::BufferDescriptor& d) {
       return;
     }
   }
-  if (reliable() && unacked_.size() >= config_.max_unacked) {
+  if (unacked_.size() >= config_.max_unacked) {
     // Load shedding at admission: too many sends already await ACKs (the
     // fabric or a peer is struggling). Fail explicitly instead of letting
     // the backlog eat the buffer pool.
@@ -277,23 +272,16 @@ void NetworkEngine::kick_tx() {
 }
 
 void NetworkEngine::tx_iteration() {
-  // One run-to-completion TX slice: scheduling decision + routing lookup +
-  // WR wrap + doorbell per message (§3.2). With doorbell coalescing, up to
-  // tx_doorbell_batch messages share one engine-core event — same total
-  // stage cost, one scheduling decision slice, one doorbell ring.
-  const auto batch = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(config_.tx_doorbell_batch, 1)),
-      tx_backlog());
+  // One run-to-completion TX slice per message: scheduling decision +
+  // routing lookup + WR wrap + doorbell (§3.2).
   const sim::Duration work =
-      static_cast<sim::Duration>(batch) *
-      (cost::kDneSchedNs + cost::kDneTxStageNs + config_.extra_per_msg_ns);
+      cost::kDneSchedNs + cost::kDneTxStageNs + config_.extra_per_msg_ns;
   sim::ProfileScope scope{"engine", "tx"};
-  engine_core_.submit(work, [this, batch] {
+  engine_core_.submit(work, [this] {
     // A tenant teardown (remove_tenant) may have drained the queues while
-    // this slice's core time was being charged: transmit only what is
-    // still there. The scheduling work was genuinely spent either way.
-    const std::size_t avail = std::min<std::size_t>(batch, tx_backlog());
-    for (std::size_t i = 0; i < avail; ++i) {
+    // this slice's core time was being charged: transmit only if a message
+    // is still there. The scheduling work was genuinely spent either way.
+    if (tx_backlog() > 0) {
       auto item = config_.use_dwrr ? dwrr_.dequeue() : fcfs_.dequeue();
       PD_CHECK(item.has_value(), "TX iteration with empty queues");
       ledger_queue_exit(item->tenant, /*serviced=*/true);
@@ -335,28 +323,23 @@ void NetworkEngine::transmit(const mem::BufferDescriptor& d) {
   }
   const NodeId dest = routes_.lookup(h.dst());
 
-  std::uint64_t seq = 0;
-  if (reliable()) {
-    seq = next_seq_++;
-    h.seq = seq;
-    write_header(bytes, h);
-  }
+  const std::uint64_t seq = next_seq_++;
+  h.seq = seq;
+  write_header(bytes, h);
 
   pool_of(d).transfer(d, actor(), mem::actor_rnic(node()));
   rdma::WorkRequest wr;
   wr.wr_id = next_wr_id_++;
   wr.opcode = rdma::Opcode::kSend;
   wr.local = d;
-  if (reliable()) {
-    UnackedMsg m;
-    m.d = d;
-    m.dest = dest;
-    m.timer = sched_.schedule_after(config_.retransmit_timeout,
-                                    [this, seq] { on_retransmit_timeout(seq); });
-    unacked_.emplace(seq, m);
-    ++tenant_unacked_[d.tenant];
-    wr_seq_.emplace(wr.wr_id, seq);
-  }
+  UnackedMsg m;
+  m.d = d;
+  m.dest = dest;
+  m.timer = sched_.schedule_after(config_.retransmit_timeout,
+                                  [this, seq] { on_retransmit_timeout(seq); });
+  unacked_.emplace(seq, m);
+  ++tenant_unacked_[d.tenant];
+  wr_seq_.emplace(wr.wr_id, seq);
   conn_mgr_.send(dest, d.tenant, wr);
   ++counters_.tx_msgs;
 }
@@ -466,9 +449,9 @@ void NetworkEngine::deliver_local(const mem::BufferDescriptor& d,
 
 void NetworkEngine::handle_send_done(const rdma::Completion& c) {
   // Sender side: the WR left the NIC; reclaim the buffer token from the
-  // RNIC. Unsequenced messages recycle immediately (pre-reliability
-  // behaviour); sequenced ones are held until their ACK so a retransmit
-  // can re-post the same buffer zero-copy.
+  // RNIC. Sequenced messages are held until their ACK so a retransmit can
+  // re-post the same buffer zero-copy; a WR the reliability layer does not
+  // track is an orphaned send buffer and recycles immediately.
   auto& pool = pool_of(c.buffer);
   pool.transfer(c.buffer, mem::actor_rnic(node()), actor());
 

@@ -56,26 +56,13 @@ struct EngineConfig {
   sim::Duration replenish_period = 20'000;  // 20 µs
   /// CQEs drained per RX iteration (batching in the event loop).
   int rx_batch = 8;
-  /// §4.2 CQE batching / interrupt moderation: defer the CQ notify until
-  /// this many CQEs accumulate (or the window below expires), so the engine
-  /// drains N completions per scheduled poll event instead of waking once
-  /// per arrival. 1 = notify per arrival (bit-identical legacy behaviour).
-  int cq_coalesce_batch = 1;
-  /// Max time a completion may sit unharvested while coalescing
-  /// (moderation timer). 0 disables coalescing regardless of the batch.
-  sim::Duration cq_coalesce_window = 2'000;  // 2 µs
-  /// Doorbell/WR coalescing: TX messages dequeued and posted per engine-core
-  /// event. The per-message stage cost is unchanged — batching only merges
-  /// scheduling decisions into one run-to-completion slice (fewer simulator
-  /// events, slightly burstier posts). 1 = legacy one-event-per-message.
-  int tx_doorbell_batch = 1;
   /// Cap on simultaneously active (RNIC-cache-resident) QPs; shadow QPs
   /// beyond this stay inactive until needed (§3.3 / [52]).
   int max_active_qps = cost::kRnicQpCacheSlots;
 
   // --- reliability (per-message ack/timeout/retransmit) --------------------
-  /// Retransmit timeout per sequenced message; 0 disables the reliability
-  /// layer entirely (fire-and-forget, the pre-fault-model behaviour).
+  /// Retransmit timeout per sequenced message (must be positive: every
+  /// inter-node message is sequenced and acknowledged).
   sim::Duration retransmit_timeout = 100'000;  // 100 µs
   /// Total send attempts per message (first send + retries) before the
   /// engine gives up and emits an explicit error completion.
@@ -84,9 +71,6 @@ struct EngineConfig {
   /// ingest is shed with an error completion instead of queued (explicit
   /// back-pressure rather than silent loss under pool exhaustion).
   std::size_t max_unacked = 512;
-  /// Receiver-side RNR parking bound per tenant; arrivals beyond it are
-  /// dropped with a NACK datagram back to the sender.
-  std::size_t rnr_queue_limit = 64;
 
   // --- per-tenant admission (ISSUE 7: tenant-scoped credit gate) -----------
   /// Partition `max_unacked` into per-tenant credit caps proportional to
@@ -177,9 +161,6 @@ class NetworkEngine : public DataPlane {
   [[nodiscard]] const EngineCounters& counters() const { return counters_; }
   [[nodiscard]] rdma::ConnectionManager& connections() { return conn_mgr_; }
   [[nodiscard]] std::size_t tx_backlog() const;
-  [[nodiscard]] std::uint64_t rx_consumed(TenantId t) const {
-    return rbr_outstanding_lookup(t);
-  }
   [[nodiscard]] const EngineConfig& config() const { return config_; }
   /// Sequenced messages awaiting ACK (the reliability window occupancy;
   /// headroom against config().max_unacked is a flight-recorder series).
@@ -197,12 +178,6 @@ class NetworkEngine : public DataPlane {
   [[nodiscard]] std::size_t tenant_unacked(TenantId t) const {
     auto it = tenant_unacked_.find(t);
     return it == tenant_unacked_.end() ? 0 : it->second;
-  }
-  /// Per-tenant admission credit cap (0 when the tenant is unknown or the
-  /// tenant gate is disabled).
-  [[nodiscard]] std::size_t tenant_credit_cap(TenantId t) const {
-    auto it = tenants_.find(t);
-    return it == tenants_.end() ? 0 : it->second.credit_cap;
   }
   [[nodiscard]] bool has_tenant(TenantId t) const {
     return tenants_.find(t) != tenants_.end();
@@ -262,7 +237,6 @@ class NetworkEngine : public DataPlane {
   };
   using UnackedIter = std::unordered_map<std::uint64_t, UnackedMsg>::iterator;
 
-  [[nodiscard]] bool reliable() const { return config_.retransmit_timeout > 0; }
   void on_datagram(NodeId from, const rdma::Datagram& dg);
   void on_retransmit_timeout(std::uint64_t seq);
   void release_tenant_credit(TenantId tenant);
@@ -288,9 +262,6 @@ class NetworkEngine : public DataPlane {
   /// Close the staging span and record the copy's duration into the
   /// always-on `dne.soc_dma_ns{dir=...,node=...}` histogram.
   void end_soc_dma(std::uint32_t span, const char* dir, sim::TimePoint begin);
-  std::uint64_t rbr_outstanding_lookup(TenantId t) const {
-    return rbr_.outstanding(t);
-  }
   /// Resource-ledger queue-wait bracketing (ISSUE 10): enter when a message
   /// joins the DWRR/FCFS scheduler, exit when it is dequeued for a TX slice
   /// (serviced: also record the slice's service segment, the evidence later

@@ -4,9 +4,10 @@
 // Nodes are assigned to leaf switches; same-leaf traffic takes the
 // single cut-through hop the flat fabric always modeled, cross-leaf
 // traffic additionally crosses an oversubscribed uplink to a spine and
-// back (two extra switch hops, two inter-switch propagation legs, and a
-// serialization pass at the uplink's effective per-flow bandwidth =
-// port bandwidth / oversubscription). All of that is a pure function of
+// back (two extra switch hops, two inter-switch propagation legs of
+// cost::kInterSwitchPropagationNs, and a serialization pass at the
+// uplink's effective per-flow bandwidth = port bandwidth /
+// cost::kUplinkOversubscription). All of that is a pure function of
 // (src leaf, dst leaf, frame size), so per-port state stays owner-shard
 // local and parallel runs remain deterministic — the uplink is a cost
 // model, never a serializing queue shared between shards.
@@ -30,19 +31,14 @@ struct TopologyConfig {
   /// Worker nodes per leaf switch; 0 keeps the legacy single flat switch
   /// (every pair one hop, byte-identical to the pre-topology fabric).
   std::size_t nodes_per_switch = 0;
-  /// Leaf-to-spine oversubscription: each flow crossing the uplink
-  /// serializes at port bandwidth / oversubscription.
-  double oversubscription = cost::kUplinkOversubscription;
-  /// One leaf<->spine propagation leg (a cross-leaf path crosses two).
-  sim::Duration inter_switch_propagation = cost::kInterSwitchPropagationNs;
 };
 
 class Topology {
  public:
   Topology() = default;
-  explicit Topology(TopologyConfig cfg) { configure(cfg); }
+  explicit Topology(TopologyConfig cfg) : cfg_(cfg) {}
 
-  void configure(TopologyConfig cfg);
+  void configure(TopologyConfig cfg) { cfg_ = cfg; }
   [[nodiscard]] const TopologyConfig& config() const { return cfg_; }
   [[nodiscard]] bool multi_switch() const { return cfg_.nodes_per_switch > 0; }
 

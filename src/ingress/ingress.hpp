@@ -12,6 +12,13 @@
 
 namespace pd::ingress {
 
+/// Worker-pool autoscaling shared by the F-stack gateways (§3.6): every
+/// check period, add a worker when average *useful* CPU utilization is
+/// above the up threshold and remove one below the down threshold.
+inline constexpr double kScaleUpUtil = 0.60;
+inline constexpr double kScaleDownUtil = 0.30;
+inline constexpr sim::Duration kScaleCheckPeriod = 1'000'000'000;  // 1 s
+
 class IngressFrontend {
  public:
   virtual ~IngressFrontend() = default;

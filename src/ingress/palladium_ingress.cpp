@@ -13,6 +13,9 @@ namespace pd::ingress {
 namespace {
 
 constexpr sim::Duration kSeriesBucket = 1'000'000'000;  // 1 s
+/// Re-sends of a request whose deadline expired before the gateway
+/// answers 504.
+constexpr int kMaxRetries = 2;
 
 }  // namespace
 
@@ -91,7 +94,7 @@ void PalladiumIngress::finish_setup() {
 
   autoscale_busy_.assign(static_cast<std::size_t>(config_.max_workers), 0);
   if (config_.autoscale) {
-    sched_.schedule_background_after(config_.scale_check_period,
+    sched_.schedule_background_after(kScaleCheckPeriod,
                                      [this] { autoscale_tick(); });
   }
   sched_.schedule_background_after(kSeriesBucket, [this] { sample_tick(); });
@@ -371,7 +374,7 @@ void PalladiumIngress::on_deadline(std::uint64_t request_id) {
   PendingRequest& pr = pit->second;
   pr.deadline = sim::kInvalidEvent;
 
-  if (pr.attempts > config_.max_retries) {
+  if (pr.attempts > kMaxRetries) {
     // Retry budget exhausted: fail the request explicitly. This is a
     // policy decision (the gateway giving up), so it gets its own counter
     // and a "deadline_expired" span on the request's trace — distinct from
@@ -533,19 +536,19 @@ void PalladiumIngress::autoscale_tick() {
   for (int w = 0; w < active_workers_; ++w) {
     const auto busy = worker_core(w).busy_ns();
     util_sum += static_cast<double>(busy - autoscale_busy_[static_cast<std::size_t>(w)]) /
-                static_cast<double>(config_.scale_check_period);
+                static_cast<double>(kScaleCheckPeriod);
   }
   for (int w = 0; w < config_.max_workers; ++w) {
     autoscale_busy_[static_cast<std::size_t>(w)] = worker_core(w).busy_ns();
   }
   const double avg = util_sum / active_workers_;
 
-  if (avg > config_.scale_up_util && active_workers_ < config_.max_workers) {
+  if (avg > kScaleUpUtil && active_workers_ < config_.max_workers) {
     apply_scaling(active_workers_ + 1);
-  } else if (avg < config_.scale_down_util && active_workers_ > 1) {
+  } else if (avg < kScaleDownUtil && active_workers_ > 1) {
     apply_scaling(active_workers_ - 1);
   }
-  sched_.schedule_background_after(config_.scale_check_period,
+  sched_.schedule_background_after(kScaleCheckPeriod,
                                    [this] { autoscale_tick(); });
 }
 

@@ -36,18 +36,14 @@ class PalladiumIngress : public IngressFrontend {
     int initial_workers = 1;
     int max_workers = 8;
     bool autoscale = false;
-    double scale_up_util = 0.60;
-    double scale_down_util = 0.30;
-    sim::Duration scale_check_period = 1'000'000'000;  // 1 s
     int srq_fill = 256;
     int rc_connections = 2;
     /// Request-level recovery: if no response arrives within the deadline
     /// the gateway re-sends the request (at-least-once; the data plane
     /// suppresses duplicates where it can and the gateway tolerates
-    /// duplicate responses). After `max_retries` re-sends it answers 504.
+    /// duplicate responses). After two re-sends it answers 504.
     /// 0 disables deadlines (the pre-fault-model behaviour).
     sim::Duration request_deadline = 2'000'000;  // 2 ms
-    int max_retries = 2;
     /// Optional per-tenant admission gate, consulted before a request
     /// enters the fabric (ISSUE 7). Not owned; must outlive the ingress.
     /// Requests it sheds are answered 429 — explicit, never silent.

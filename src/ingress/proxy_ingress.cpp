@@ -225,7 +225,7 @@ void ProxyIngress::finish_setup() {
   if (config_.autoscale) {
     PD_CHECK(config_.stack == proto::StackKind::kFstack,
              "autoscaling applies to the F-stack proxy");
-    sched_.schedule_background_after(config_.scale_check_period,
+    sched_.schedule_background_after(kScaleCheckPeriod,
                                      [this] { autoscale_tick(); });
   }
   sched_.schedule_background_after(kSeriesBucket, [this] { sample_tick(); });
@@ -369,18 +369,18 @@ void ProxyIngress::autoscale_tick() {
     const auto busy = rx_core(w).busy_ns();
     util_sum += static_cast<double>(busy -
                                     autoscale_busy_[static_cast<std::size_t>(w)]) /
-                static_cast<double>(config_.scale_check_period);
+                static_cast<double>(kScaleCheckPeriod);
   }
   for (std::size_t w = 0; w < cores_.size(); ++w) {
     autoscale_busy_[w] = cores_.core(w).busy_ns();
   }
   const double avg = util_sum / active_workers_;
-  if (avg > config_.scale_up_util && active_workers_ < config_.max_workers) {
+  if (avg > kScaleUpUtil && active_workers_ < config_.max_workers) {
     ++active_workers_;
     for (int w = 0; w < active_workers_; ++w) {
       rx_core(w).submit(cost::kIngressWorkerRestartNs);
     }
-  } else if (avg < config_.scale_down_util && active_workers_ > 1) {
+  } else if (avg < kScaleDownUtil && active_workers_ > 1) {
     --active_workers_;
     for (int w = 0; w < active_workers_; ++w) {
       rx_core(w).submit(cost::kIngressWorkerRestartNs);
@@ -394,7 +394,7 @@ void ProxyIngress::autoscale_tick() {
       c->tcp->endpoint_b().core = &rx_core(c->worker);
     }
   }
-  sched_.schedule_background_after(config_.scale_check_period,
+  sched_.schedule_background_after(kScaleCheckPeriod,
                                    [this] { autoscale_tick(); });
 }
 

@@ -64,9 +64,6 @@ class ProxyIngress : public IngressFrontend {
     int cores = 1;
     bool autoscale = false;  ///< F-stack only
     int max_workers = 8;
-    double scale_up_util = 0.60;
-    double scale_down_util = 0.30;
-    sim::Duration scale_check_period = 1'000'000'000;
   };
 
   ProxyIngress(runtime::Cluster& cluster, Config config);

@@ -1,11 +1,10 @@
 // Reader for the Chrome trace-event JSON written by obs::Tracer.
 //
 // Shared by the end-to-end tracing test (which asserts span nesting and hop
-// order on a parsed trace) and the tools/trace_inspect CLI. This is a
-// purpose-built parser for the exporter's output shape -- a top-level object
-// with a "traceEvents" array of flat event objects -- not a general JSON
-// library; it tolerates whitespace and key reordering but not arbitrary
-// nesting beyond the one-level "args" object the exporter emits.
+// order on a parsed trace) and the tools/trace_inspect CLI. The document is
+// parsed with obs::json_parse; the reader then walks the exporter's shape --
+// a top-level object with a "traceEvents" array of event objects whose ids
+// sit in a one-level "args" object.
 #pragma once
 
 #include <cstdint>

@@ -28,6 +28,12 @@ inline constexpr double kHostCoreSpeed = 1.0;
 /// ISA "compensates somewhat"; effective throughput ratio ~0.5.
 inline constexpr double kDpuCoreSpeed = 0.5;
 
+/// Relative jitter on per-hop function compute times (cache effects,
+/// branchy handlers): each hop draws a factor uniform in [1-j, 1+j).
+/// Essential under a deterministic scheduler: without it, closed-loop
+/// clients phase-lock into convoys that no real system exhibits.
+inline constexpr double kComputeJitter = 0.10;
+
 // --------------------------------------------------------------------------
 // Fabric (200 Gbps switched RDMA network)
 // --------------------------------------------------------------------------

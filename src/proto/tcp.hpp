@@ -63,7 +63,6 @@ class TcpConnection {
   [[nodiscard]] std::uint64_t messages() const { return messages_; }
   [[nodiscard]] Bytes bytes_transferred() const { return bytes_; }
 
-  TcpEndpoint& endpoint_a() { return a_; }
   TcpEndpoint& endpoint_b() { return b_; }
 
  private:

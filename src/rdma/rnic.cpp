@@ -15,6 +15,10 @@ namespace {
 /// RNR retry delay once the receiver reposts buffers (abbreviated from the
 /// IB RNR-NAK timer range).
 constexpr sim::Duration kRnrRetryNs = 5'000;
+/// Bound on messages parked per tenant awaiting SRQ buffers (RNR state).
+/// Beyond it arrivals are dropped and a NACK datagram is returned to the
+/// sender so it can shed instead of burning retransmit timers.
+constexpr std::size_t kRnrQueueLimit = 64;
 /// Bytes on the wire for a CAS request/response.
 constexpr Bytes kAtomicWireBytes = 32;
 
@@ -54,41 +58,13 @@ const char* to_string(QpState s) {
 // CompletionQueue
 // ---------------------------------------------------------------------------
 
-void CompletionQueue::fire_notify() {
-  if (coalesce_timer_ != sim::kInvalidEvent) {
-    sched_->cancel(coalesce_timer_);
-    coalesce_timer_ = sim::kInvalidEvent;
-  }
-  ++notifies_;
-  notify_();
-}
-
 void CompletionQueue::push(Completion c) {
   const bool was_empty = entries_.empty();
   entries_.push_back(std::move(c));
   ++total_;
-  if (!notify_) return;
-  if (!coalescing()) {
-    if (was_empty) {
-      ++notifies_;
-      notify_();
-    }
-    return;
-  }
-  if (entries_.size() >= coalesce_batch_) {
-    fire_notify();
-    return;
-  }
-  if (was_empty && coalesce_timer_ == sim::kInvalidEvent) {
-    // Foreground: the parked completions must still be delivered before
-    // run() declares the simulation drained.
-    coalesce_timer_ = sched_->schedule_after(coalesce_window_, [this] {
-      coalesce_timer_ = sim::kInvalidEvent;
-      if (!entries_.empty() && notify_) {
-        ++notifies_;
-        notify_();
-      }
-    });
+  if (was_empty && notify_) {
+    ++notifies_;
+    notify_();
   }
 }
 
@@ -201,7 +177,6 @@ void QueuePair::post_send(const WorkRequest& wr) {
   PD_CHECK(state_ == QpState::kActive,
            "post_send on QP " << id_ << " in state " << to_string(state_));
   ++outstanding_;
-  ++sends_posted_;
   rnic_.execute(*this, wr);
 }
 
@@ -534,7 +509,7 @@ void Rnic::arrive_send(QpId dest_qp, TenantId tenant, std::uint32_t len,
   if (srq.empty()) {
     ++counters_.rnr_events;
     auto& rnr = rnr_queues_[tenant];
-    if (rnr.size() >= rnr_queue_limit_) {
+    if (rnr.size() >= kRnrQueueLimit) {
       // Receiver-side overload: drop the arrival and NACK the sender's
       // reliability layer so it sheds immediately instead of retrying into
       // the same full queue.

@@ -164,11 +164,6 @@ class Rnic {
     drain_listener_ = std::move(listener);
   }
 
-  /// Bound on messages parked per tenant awaiting SRQ buffers (RNR state).
-  /// Beyond it arrivals are dropped and a NACK datagram is returned to the
-  /// sender so it can shed instead of burning retransmit timers.
-  void set_rnr_queue_limit(std::size_t limit) { rnr_queue_limit_ = limit; }
-
   /// Fault injection: fail every QP on this RNIC that is established or
   /// connecting (optionally only those whose remote is `peer`).
   void fail_qps(NodeId peer = NodeId{});
@@ -275,7 +270,6 @@ class Rnic {
     std::vector<std::byte> payload;
   };
   std::unordered_map<TenantId, std::deque<PendingRecv>> rnr_queues_;
-  std::size_t rnr_queue_limit_ = 64;
 
   DrainListener drain_listener_;
   std::unordered_map<PoolId, WriteMonitor> write_monitors_;

@@ -656,12 +656,12 @@ void Cluster::finish_setup() {
 }
 
 sim::Duration Cluster::jittered(NodeId node, sim::Duration nominal) {
-  if (config_.compute_jitter <= 0.0 || nominal == 0) return nominal;
+  if (nominal == 0) return nominal;
   // Per-node streams keep draws shard-local (no data race) and independent
   // of cross-node event interleaving (deterministic for any thread count).
   sim::Rng& rng = node_jitter_.at(node);
   const double factor =
-      1.0 + config_.compute_jitter * (2.0 * rng.next_double() - 1.0);
+      1.0 + cost::kComputeJitter * (2.0 * rng.next_double() - 1.0);
   return static_cast<sim::Duration>(static_cast<double>(nominal) * factor);
 }
 

@@ -51,11 +51,6 @@ struct ClusterConfig {
   std::size_t dpu_cores = 8;
   std::size_t pool_buffers = 1024;  ///< buffers per tenant pool per node
   Bytes buffer_bytes = 16 * 1024;
-  /// Relative jitter applied to per-hop compute times (cache effects,
-  /// branchy handlers). Essential under a deterministic scheduler: without
-  /// it, closed-loop clients phase-lock into convoys that no real system
-  /// exhibits. Deterministic per seed.
-  double compute_jitter = 0.10;
   std::uint64_t seed = 0x9E3779B9;
   SidecarMode sidecar = SidecarMode::kPerFunctionEbpf;
   /// Fabric topology (ISSUE 9). Default (nodes_per_switch = 0) is the flat
@@ -255,7 +250,7 @@ class Cluster {
   [[nodiscard]] NodeId placement_of(FunctionId fn) const;
   [[nodiscard]] FunctionInstance& instance(FunctionId fn);
 
-  /// Apply the configured compute jitter to a nominal duration for work on
+  /// Apply cost::kComputeJitter to a nominal duration for work on
   /// `node`, drawn from the node's own deterministic stream so draws stay
   /// shard-local and replayable.
   [[nodiscard]] sim::Duration jittered(NodeId node, sim::Duration nominal);
@@ -304,7 +299,6 @@ class Cluster {
   /// Recorder holding `node`'s series (the owning shard's hub). nullptr
   /// until start_flight_recorder() runs, so callers can no-op cheaply.
   [[nodiscard]] obs::FlightRecorder* flight_recorder(NodeId node);
-  [[nodiscard]] bool flight_recording() const { return flight_started_; }
   /// Fold every shard hub into `into` deterministically (shard order, see
   /// obs::Hub::absorb), then resolve cross-shard span ends. Call after the
   /// run; the shard hubs are emptied so a second merge cannot double-count.

@@ -47,7 +47,6 @@ void FunctionInstance::on_message(const mem::BufferDescriptor& d) {
     // requester so the invocation fails visibly instead of hanging. If the
     // error response itself cannot make it back, the engine drops it
     // terminally — no error ping-pong.
-    ++errors_received_;
     const FunctionId client{h.client_id};
     if (h.client_id == 0 || client == spec_.id) {
       pool.release(d, actor());

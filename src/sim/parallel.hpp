@@ -82,13 +82,6 @@ class ParallelSim {
   /// must be >= 1; must be set before a run. Until set, every pair's
   /// lookahead is 1 ns (always safe).
   void set_lookahead_matrix(std::vector<std::vector<Duration>> d);
-  /// The smallest off-diagonal matrix entry (the uniform L of the
-  /// skip-ahead accounting floor).
-  [[nodiscard]] Duration lookahead() const { return lookahead_; }
-  /// Effective (closed) lookahead from shard `src` to shard `dst`.
-  [[nodiscard]] Duration lookahead(std::size_t src, std::size_t dst) const {
-    return d_in_[dst][src];
-  }
 
   /// Hooks run around a shard's execute phase on whichever thread drives
   /// it (the runtime installs the shard's observability hub here).

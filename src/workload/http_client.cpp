@@ -5,6 +5,8 @@
 namespace pd::workload {
 namespace {
 constexpr sim::Duration kSeriesBucket = 1'000'000'000;  // 1 s
+/// The client machine every load-generator connection originates from.
+constexpr NodeId kClientNode{100};
 }
 
 HttpLoadGen::HttpLoadGen(sim::Scheduler& sched,
@@ -25,7 +27,7 @@ void HttpLoadGen::add_clients(int n) {
     sim::Core& core =
         cores_->core(static_cast<std::size_t>(idx) % cores_->size());
     clients_[static_cast<std::size_t>(idx)].conn = ingress_.attach_client(
-        config_.client_node, core,
+        kClientNode, core,
         [this, idx](std::string_view bytes) { on_response(idx, bytes); });
     // Stagger first requests to avoid deterministic convoy phase-lock.
     sched_.schedule_after(static_cast<sim::Duration>(i % 64) * 17'000,
@@ -45,10 +47,6 @@ void HttpLoadGen::set_active_clients(int n) {
     clients_[i].parked = false;
     send_request(static_cast<int>(i));
   }
-}
-
-int HttpLoadGen::active_clients() const {
-  return static_cast<int>(std::min(active_, clients_.size()));
 }
 
 void HttpLoadGen::send_request(int idx) {

@@ -16,7 +16,6 @@ namespace pd::workload {
 class HttpLoadGen {
  public:
   struct Config {
-    NodeId client_node{100};
     std::string target = "/";
     std::string body = "{}";
     /// Cores available to client processes (wrk saturates one per client
@@ -44,7 +43,6 @@ class HttpLoadGen {
   /// the parked clients' loops immediately. Drives the flash-crowd and
   /// diurnal overload scenarios.
   void set_active_clients(int n);
-  [[nodiscard]] int active_clients() const;
 
   [[nodiscard]] sim::LatencyHistogram& latencies() { return latencies_; }
   [[nodiscard]] sim::TimeSeries& completions() { return completions_; }

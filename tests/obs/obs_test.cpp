@@ -208,6 +208,21 @@ TEST(Tracer, ChromeJsonRoundTrip) {
   EXPECT_EQ(fabric.trace_id, root.trace_id);
 }
 
+TEST(Tracer, ChromeJsonReaderRejectsMalformedTraces) {
+  obs::Tracer tracer;
+  auto ctx = tracer.start_trace("node1/client", 1'500);
+  tracer.end_span(ctx.root_span, 5'000);
+  const std::string json = tracer.to_chrome_json();
+  ASSERT_EQ(obs::read_chrome_trace(json).size(), 1u);
+  // Cut mid-document (an interrupted export): must throw, not return the
+  // spans read so far.
+  EXPECT_THROW(obs::read_chrome_trace(json.substr(0, json.size() / 2)),
+               CheckFailure);
+  // Well-formed JSON that is not a trace object.
+  EXPECT_THROW(obs::read_chrome_trace("[]"), CheckFailure);
+  EXPECT_THROW(obs::read_chrome_trace(R"({"traceEvents": 3})"), CheckFailure);
+}
+
 TEST(Hub, SessionInstallsAndRestores) {
   EXPECT_EQ(obs::hub(), nullptr);
   {

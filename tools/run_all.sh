@@ -66,9 +66,24 @@
 set -e
 cd "$(dirname "$0")/.."
 
+# build_tree DIR [CMAKE_ARGS...]: configure DIR and build it. A fresh tree
+# is generated with Ninja; a tree that already has a CMakeCache.txt keeps
+# the generator it was configured with (the tier-1 command configures
+# build/ with the default generator, and CMake refuses to switch). Set
+# BUILD_TARGETS to "--target T..." to build only those targets.
+build_tree() {
+  dir=$1
+  shift
+  if [ -f "$dir/CMakeCache.txt" ]; then
+    cmake -B "$dir" "$@"
+  else
+    cmake -B "$dir" -G Ninja "$@"
+  fi
+  cmake --build "$dir" $BUILD_TARGETS
+}
+
 if [ "$1" = "bench" ]; then
-  cmake -B build -G Ninja
-  cmake --build build
+  build_tree build
   exec tools/bench_gate.sh
 fi
 
@@ -105,8 +120,7 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
 fi
 
 if [ "$1" = "chaos" ]; then
-  cmake -B build -G Ninja
-  cmake --build build
+  build_tree build
   ctest --test-dir build -L chaos --output-on-failure 2>&1 | tee chaos_output.txt
   for seed in 1 2 3 4 5 6 7 8 9 10; do
     echo "=== boutique_demo --chaos $seed ==="
@@ -121,9 +135,8 @@ if [ "$1" = "chaos" ]; then
 fi
 
 if [ "$1" = "tsan" ]; then
-  cmake -B build-tsan -G Ninja -DPD_SANITIZE=thread \
-    -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-tsan --target pdes_test perf_gate
+  BUILD_TARGETS="--target pdes_test perf_gate"
+  build_tree build-tsan -DPD_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan -L pdes --output-on-failure 2>&1 \
     | tee tsan_output.txt
@@ -141,8 +154,7 @@ if [ "$1" = "tsan" ]; then
 fi
 
 if [ "$1" = "overload" ]; then
-  cmake -B build -G Ninja
-  cmake --build build
+  build_tree build
   ctest --test-dir build -L overload --output-on-failure 2>&1 \
     | tee overload_output.txt
   rm -rf overload_report && mkdir -p overload_report
@@ -180,8 +192,7 @@ if [ "$1" = "overload" ]; then
 fi
 
 if [ "$1" = "ledger" ]; then
-  cmake -B build -G Ninja
-  cmake --build build
+  build_tree build
   ctest --test-dir build -L ledger --output-on-failure 2>&1 \
     | tee ledger_output.txt
   rm -rf ledger_report && mkdir -p ledger_report
@@ -232,8 +243,7 @@ if [ "$1" = "ledger" ]; then
 fi
 
 if [ "$1" = "cartstore" ]; then
-  cmake -B build -G Ninja
-  cmake --build build
+  build_tree build
   ctest --test-dir build -L onesided --output-on-failure 2>&1 \
     | tee cartstore_output.txt
   rm -rf cart_report && mkdir -p cart_report
@@ -269,8 +279,7 @@ if [ "$1" = "cartstore" ]; then
 fi
 
 if [ "$1" = "scale" ]; then
-  cmake -B build -G Ninja
-  cmake --build build
+  build_tree build
   ctest --test-dir build -L pdes --output-on-failure 2>&1 | tee scale_output.txt
   rm -rf scale_report && mkdir -p scale_report
   # The ISSUE 9 scale point (32 workers / 4 leaf switches / 16 cells, one
@@ -311,8 +320,7 @@ if [ "$1" = "scale" ]; then
 fi
 
 if [ "$1" = "obs" ]; then
-  cmake -B build -G Ninja
-  cmake --build build
+  build_tree build
   ctest --test-dir build -L "obs-report|obs-ts" --output-on-failure 2>&1 \
     | tee obs_output.txt
   rm -rf obs_report && mkdir -p obs_report
@@ -360,16 +368,14 @@ if [ "$1" = "obs" ]; then
 fi
 
 if [ "$1" = "asan" ]; then
-  cmake -B build-asan -G Ninja -DPD_SANITIZE=address,undefined \
+  build_tree build-asan -DPD_SANITIZE=address,undefined \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan
   ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure 2>&1 | tee test_output.txt
   exit 0
 fi
 
-cmake -B build -G Ninja
-cmake --build build
+build_tree build
 ctest --test-dir build 2>&1 | tee test_output.txt
 for b in build/bench/*; do
   [ -x "$b" ] && [ -f "$b" ] && "$b"
