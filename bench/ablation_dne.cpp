@@ -5,84 +5,11 @@
 //      counts (the motivation for [52]'s mechanism, §3.3)
 //   D. SRQ provisioning depth vs RNR stalls under bursts
 // Not a paper figure: this regenerates the *reasons* behind the design.
-#include <memory>
-
 #include "bench_common.hpp"
-#include "runtime/cluster.hpp"
-#include "runtime/function.hpp"
-#include "sim/parallel.hpp"
-#include "workload/driver.hpp"
-
-namespace {
-
-using namespace pd;
-
-constexpr NodeId kNode1{1};
-constexpr NodeId kNode2{2};
-constexpr sim::Duration kRun = 1'500'000'000;
-
-struct Result {
-  double rps = 0;
-  /// Requests that came back as explicit error completions (a run whose
-  /// RPS collapses shows why here, not as a silently small number).
-  std::uint64_t failed = 0;
-  double p99_us = 0;
-  std::uint64_t rnr = 0;
-  std::uint64_t cache_miss = 0;
-};
-
-Result run_echo(core::EngineConfig engine_cfg, int tenants, int clients) {
-  sim::ParallelSim psim(1);
-  sim::Scheduler& sched = psim.shard(0);
-  runtime::ClusterConfig cfg;
-  cfg.system = runtime::SystemKind::kPalladiumDne;
-  cfg.engine = engine_cfg;
-  cfg.pool_buffers = 2048;
-  cfg.buffer_bytes = 4096;
-  cfg.cpu_cores_per_node = 32;
-  auto cluster = std::make_unique<runtime::Cluster>(psim, cfg);
-  cluster->add_worker(kNode1);
-  cluster->add_worker(kNode2);
-
-  std::vector<std::unique_ptr<workload::ChainDriver>> drivers;
-  for (int t = 1; t <= tenants; ++t) {
-    const TenantId tenant{static_cast<std::uint32_t>(t)};
-    cluster->add_tenant(tenant, 1);
-    const FunctionId fn{static_cast<std::uint32_t>(t)};
-    cluster->deploy(runtime::FunctionSpec{fn, "echo", tenant}, kNode2);
-    cluster->add_chain(runtime::Chain{static_cast<std::uint32_t>(t), "echo",
-                                      tenant, 128,
-                                      {{fn, 3'000, 128}}});
-    drivers.push_back(std::make_unique<workload::ChainDriver>(
-        *cluster, FunctionId{1000 + static_cast<std::uint32_t>(t)}, kNode1,
-        static_cast<std::uint32_t>(t)));
-  }
-  cluster->finish_setup();
-  for (auto& d : drivers) d->start(clients);
-  psim.run_until(sched.now() + kRun);
-  for (auto& d : drivers) d->stop();
-  psim.run();
-
-  Result r;
-  std::uint64_t total = 0;
-  sim::LatencyHistogram merged;
-  for (auto& d : drivers) {
-    total += d->completed();
-    r.failed += d->failed();
-    merged.merge(d->latencies());
-  }
-  r.rps = static_cast<double>(total) / sim::to_sec(kRun);
-  r.p99_us = sim::to_us(merged.quantile(0.99));
-  r.rnr = cluster->worker(kNode1).rnic()->counters().rnr_events +
-          cluster->worker(kNode2).rnic()->counters().rnr_events;
-  r.cache_miss = cluster->worker(kNode1).rnic()->counters().cache_miss_wrs +
-                 cluster->worker(kNode2).rnic()->counters().cache_miss_wrs;
-  return r;
-}
-
-}  // namespace
+#include "echo_harness.hpp"
 
 int main() {
+  using namespace pd;
   using namespace pd::bench;
 
   print_title(

@@ -10,11 +10,16 @@ namespace {
 
 /// EdgeController thresholds. Burn at/above kBurnUp is a scale-up signal;
 /// burn at/below kBurnDown with at most kPendingDown requests per worker
-/// is a scale-down signal. Admission pressure engages once the watched
+/// is a scale-down signal. The pool scales after kUpHysteresis
+/// consecutive up-signal (kDownHysteresis down-signal) periods, then holds
+/// for kCooldown periods. Admission pressure engages once the watched
 /// burn holds at/above kPressureOn for kPressureOnHysteresis periods.
 constexpr double kBurnUp = 1.0;
 constexpr double kBurnDown = 0.25;
 constexpr std::size_t kPendingDown = 4;
+constexpr int kUpHysteresis = 2;
+constexpr int kDownHysteresis = 8;
+constexpr int kCooldown = 4;
 constexpr double kPressureOn = 1.0;
 constexpr int kPressureOnHysteresis = 2;
 /// "Quiet" means the worker cores are drained too, not just that the
@@ -52,8 +57,6 @@ EdgeController::EdgeController(ingress::PalladiumIngress& ingress,
       sched_(sched),
       config_(std::move(config)) {
   PD_CHECK(config_.period > 0, "controller period must be positive");
-  PD_CHECK(config_.up_hysteresis >= 1 && config_.down_hysteresis >= 1,
-           "hysteresis must be at least one period");
 }
 
 void EdgeController::start() {
@@ -114,21 +117,19 @@ void EdgeController::tick() {
   if (cooldown_ > 0) --cooldown_;
 
   const int max_workers = ingress_.config().max_workers;
-  if (cooldown_ == 0 && up_run_ >= config_.up_hysteresis &&
-      workers < max_workers) {
+  if (cooldown_ == 0 && up_run_ >= kUpHysteresis && workers < max_workers) {
     ingress_.scale_to(workers + 1);
     events_.push_back(ScaleEvent{sched_.now(), "ingress", workers, workers + 1,
                                  burn >= kBurnUp ? "burn" : "backlog"});
     if (hub != nullptr) hub->registry.counter("control.scale_up", "").inc();
-    cooldown_ = config_.cooldown;
+    cooldown_ = kCooldown;
     up_run_ = 0;
-  } else if (cooldown_ == 0 && down_run_ >= config_.down_hysteresis &&
-             workers > 1) {
+  } else if (cooldown_ == 0 && down_run_ >= kDownHysteresis && workers > 1) {
     ingress_.scale_to(workers - 1);
     events_.push_back(
         ScaleEvent{sched_.now(), "ingress", workers, workers - 1, "idle"});
     if (hub != nullptr) hub->registry.counter("control.scale_down", "").inc();
-    cooldown_ = config_.cooldown;
+    cooldown_ = kCooldown;
     down_run_ = 0;
   }
 

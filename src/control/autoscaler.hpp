@@ -54,16 +54,15 @@ enum class ShedPolicy : std::uint8_t { kBurnRate, kBlame };
 
 struct EdgeControllerConfig {
   sim::Duration period = 50'000'000;  // 50 ms control loop
-  /// Scale-up signal: SLO burn at/above 1.0, or pending requests per
+  /// Scale-up signal: SLO burn at/above kBurnUp, or pending requests per
   /// active worker at/above pending_up. Scale-down signal: burn at/below
-  /// 0.25 AND at most 4 pending requests per worker AND quiet worker cores.
+  /// kBurnDown AND at most kPendingDown pending requests per worker AND
+  /// quiet worker cores. The hysteresis and cooldown periods are the
+  /// kUpHysteresis/kDownHysteresis/kCooldown constants (autoscaler.cpp).
   std::size_t pending_up = 48;
-  int up_hysteresis = 2;    ///< consecutive up-signal periods before acting
-  int down_hysteresis = 8;  ///< consecutive down-signal periods before acting
-  int cooldown = 4;         ///< quiet periods after any scaling action
   /// Admission pressure: engage when the watched SLO's burn holds at/above
-  /// 1.0 for two periods; release when it holds at/below pressure_off for
-  /// pressure_off_hysteresis periods.
+  /// kPressureOn for kPressureOnHysteresis periods; release when it holds
+  /// at/below pressure_off for pressure_off_hysteresis periods.
   double pressure_off = 0.5;
   int pressure_off_hysteresis = 8;
   /// SLO spec name whose burn drives admission pressure ("" = max over all
@@ -115,7 +114,7 @@ class EdgeController {
 struct InstanceAutoscalerConfig {
   sim::Duration period = 50'000'000;  // 50 ms control loop
   /// Scale up when pending compute jobs per active replica reach this.
-  /// Scale down when at most one job is pending with >1 replica.
+  /// Scale down when at most kJobsDown jobs are pending with >1 replica.
   std::uint64_t jobs_up = 4;
   int up_hysteresis = 2;
   int down_hysteresis = 8;

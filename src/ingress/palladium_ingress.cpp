@@ -16,6 +16,10 @@ constexpr sim::Duration kSeriesBucket = 1'000'000'000;  // 1 s
 /// Re-sends of a request whose deadline expired before the gateway
 /// answers 504.
 constexpr int kMaxRetries = 2;
+/// Receive buffers posted per tenant SRQ, and RC connections per
+/// (first-hop node, tenant) pool.
+constexpr int kSrqFill = 256;
+constexpr int kRcConnections = 2;
 
 }  // namespace
 
@@ -23,7 +27,7 @@ PalladiumIngress::PalladiumIngress(runtime::Cluster& cluster, Config config)
     : cluster_(cluster),
       config_(config),
       sched_(cluster.scheduler()),
-      mem_(config.node),
+      mem_(kNode),
       cores_(sched_, "ingress/worker",
              static_cast<std::size_t>(config.max_workers)),
       response_series_(kSeriesBucket, "ingress-rps"),
@@ -34,7 +38,7 @@ PalladiumIngress::PalladiumIngress(runtime::Cluster& cluster, Config config)
   PD_CHECK(config_.initial_workers >= 1 &&
                config_.initial_workers <= config_.max_workers,
            "bad worker bounds");
-  rnic_ = std::make_unique<rdma::Rnic>(*cluster_.rdma_net(), config_.node, mem_);
+  rnic_ = std::make_unique<rdma::Rnic>(*cluster_.rdma_net(), kNode, mem_);
   conn_mgr_ = std::make_unique<rdma::ConnectionManager>(*rnic_);
   rnic_->cq().set_notify([this] { on_cq_event(); });
   active_workers_ = config_.initial_workers;
@@ -66,18 +70,17 @@ void PalladiumIngress::finish_setup() {
         cluster_.config().pool_buffers, cluster_.config().buffer_bytes);
     tm.export_to_rdma();
     rnic_->register_memory(tm.pool_id());
-    post_receives(tenant, config_.srq_fill);
+    post_receives(tenant, kSrqFill);
   }
 
   // Make the gateway reachable from every worker's data plane and
   // establish our outbound RC pools per (worker node, tenant).
-  cluster_.register_external_entry(kIngressEntry, config_.node);
+  cluster_.register_external_entry(kIngressEntry, kNode);
   for (const auto& [target, chain_id] : targets_) {
     const auto& chain = cluster_.chains().by_id(chain_id);
     const NodeId first_node = cluster_.placement_of(chain.hops.front().fn);
     if (conn_mgr_->pool_size(first_node, chain.tenant) == 0) {
-      conn_mgr_->establish(first_node, chain.tenant, config_.rc_connections,
-                           nullptr);
+      conn_mgr_->establish(first_node, chain.tenant, kRcConnections, nullptr);
     }
   }
   // Every worker node's data plane learns the ingress as a peer so chain
@@ -88,7 +91,7 @@ void PalladiumIngress::finish_setup() {
     for (const auto& hop : chain.hops) {
       const NodeId n = cluster_.placement_of(hop.fn);
       if (!connected_workers_.insert(n).second) continue;
-      cluster_.worker(n).dataplane().connect_peer(config_.node);
+      cluster_.worker(n).dataplane().connect_peer(kNode);
     }
   }
 
@@ -102,7 +105,7 @@ void PalladiumIngress::finish_setup() {
 
 void PalladiumIngress::start_flight_probes() {
   PD_CHECK(setup_done_, "start_flight_probes requires finish_setup first");
-  obs::FlightRecorder* rec = cluster_.flight_recorder(config_.node);
+  obs::FlightRecorder* rec = cluster_.flight_recorder(kNode);
   if (rec == nullptr) return;  // recorder not started: observability off
   rec->probe("ingress.pending_requests", {}, [this] {
     return static_cast<double>(pending_.size());
@@ -143,7 +146,7 @@ void PalladiumIngress::collect_pool_slot_ns(obs::Ledger& led) {
   const sim::TimePoint now = sched_.now();
   for (const auto& tm : mem_.pools()) {
     const mem::BufferPool& pool = tm->pool();
-    led.add_slot_ns("node" + std::to_string(config_.node.value()) + "/pool/" +
+    led.add_slot_ns("node" + std::to_string(kNode.value()) + "/pool/" +
                         tm->file_prefix(),
                     static_cast<std::int64_t>(pool.tenant().value()),
                     pool.slot_ns(now), pool.footprint());
@@ -169,7 +172,7 @@ void PalladiumIngress::sample_tick() {
 void PalladiumIngress::post_receives(TenantId tenant, int n) {
   auto& pool = mem_.by_tenant(tenant).pool();
   for (int i = 0; i < n; ++i) {
-    auto d = pool.allocate(mem::actor_rnic(config_.node));
+    auto d = pool.allocate(mem::actor_rnic(kNode));
     if (!d.has_value()) return;  // pool pressure: responses will RNR-retry
     rnic_->post_srq_recv(tenant, *d);
   }
@@ -187,8 +190,8 @@ int PalladiumIngress::attach_client(
   if (!cluster_.ethernet().attached(client_node)) {
     cluster_.ethernet().attach(client_node);
   }
-  if (!cluster_.ethernet().attached(config_.node)) {
-    cluster_.ethernet().attach(config_.node);
+  if (!cluster_.ethernet().attached(kNode)) {
+    cluster_.ethernet().attach(kNode);
   }
 
   proto::TcpEndpoint a;  // client side
@@ -199,7 +202,7 @@ int PalladiumIngress::attach_client(
     clients_[static_cast<std::size_t>(id)]->to_client(bytes);
   };
   proto::TcpEndpoint b;  // gateway side: batched F-stack on the worker core
-  b.node = config_.node;
+  b.node = kNode;
   b.stack = proto::StackKind::kFstackBatched;
   b.core = &worker_core(conn->worker);
   b.on_message = [this, id](std::string_view bytes) {
@@ -310,7 +313,7 @@ bool PalladiumIngress::send_request(std::uint64_t request_id) {
   PendingRequest& pr = pit->second;
   const auto& chain = cluster_.chains().by_id(pr.chain_id);
   auto& pool = mem_.by_tenant(chain.tenant).pool();
-  const auto actor = mem::actor_engine(config_.node);
+  const auto actor = mem::actor_engine(kNode);
 
   auto d = pool.allocate(actor);
   if (!d.has_value()) return false;
@@ -324,7 +327,7 @@ bool PalladiumIngress::send_request(std::uint64_t request_id) {
   h.client_id = kIngressEntry.value();
   h.payload_len = chain.request_payload;
   core::trace_start(h, "ingress",
-                    "node" + std::to_string(config_.node.value()) + "/ingress",
+                    "node" + std::to_string(kNode.value()) + "/ingress",
                     sched_.now());
   // Remember the (latest attempt's) trace so the 504 path can tag it.
   pr.trace_id = h.trace_id;
@@ -349,8 +352,8 @@ bool PalladiumIngress::send_request(std::uint64_t request_id) {
       [this, sized, first_node = cluster_.placement_of(chain.hops.front().fn),
        tenant = chain.tenant, request_id] {
         auto& p = mem_.by_tenant(tenant).pool();
-        p.transfer(sized, mem::actor_engine(config_.node),
-                   mem::actor_rnic(config_.node));
+        p.transfer(sized, mem::actor_engine(kNode),
+                   mem::actor_rnic(kNode));
         rdma::WorkRequest wr;
         wr.wr_id = request_id;
         wr.opcode = rdma::Opcode::kSend;
@@ -396,7 +399,7 @@ void PalladiumIngress::on_deadline(std::uint64_t request_id) {
         // whole trace as incomplete.
         const auto s = hub->tracer.begin_span(
             pr.trace_id, pr.root_span, "deadline_expired",
-            "node" + std::to_string(config_.node.value()) + "/ingress",
+            "node" + std::to_string(kNode.value()) + "/ingress",
             sched_.now());
         hub->tracer.end_span(s, sched_.now());
         hub->tracer.end_span(pr.root_span, sched_.now());
@@ -419,7 +422,7 @@ void PalladiumIngress::tag_policy_marker(const char* tag) {
   obs::Hub* hub = obs::hub();
   if (hub == nullptr) return;
   const std::string track =
-      "node" + std::to_string(config_.node.value()) + "/ingress";
+      "node" + std::to_string(kNode.value()) + "/ingress";
   const obs::TraceContext ctx = hub->tracer.start_trace(track, sched_.now());
   if (!ctx.sampled()) return;
   const auto s = hub->tracer.begin_span(ctx.trace_id, ctx.root_span, tag,
@@ -447,9 +450,9 @@ void PalladiumIngress::on_cq_event() {
     if (!c.is_recv) {
       // Send completion: recycle the request buffer.
       auto& pool = mem_.by_pool(c.buffer.pool).pool();
-      pool.transfer(c.buffer, mem::actor_rnic(config_.node),
-                    mem::actor_engine(config_.node));
-      pool.release(c.buffer, mem::actor_engine(config_.node));
+      pool.transfer(c.buffer, mem::actor_rnic(kNode),
+                    mem::actor_engine(kNode));
+      pool.release(c.buffer, mem::actor_engine(kNode));
       continue;
     }
     handle_response(c);
@@ -458,8 +461,8 @@ void PalladiumIngress::on_cq_event() {
 
 void PalladiumIngress::handle_response(const rdma::Completion& c) {
   auto& pool = mem_.by_pool(c.buffer.pool).pool();
-  const auto actor = mem::actor_engine(config_.node);
-  pool.transfer(c.buffer, mem::actor_rnic(config_.node), actor);
+  const auto actor = mem::actor_engine(kNode);
+  pool.transfer(c.buffer, mem::actor_rnic(kNode), actor);
   const auto span = pool.access(c.buffer, actor);
   const core::MessageHeader h = core::read_header(span);
 
@@ -469,7 +472,7 @@ void PalladiumIngress::handle_response(const rdma::Completion& c) {
     const NodeId sender = rnic_->qp(c.qp).remote_node();
     if (sender.valid()) {
       cluster_.rdma_net()->send_datagram(
-          config_.node, sender,
+          kNode, sender,
           rdma::Datagram{rdma::Datagram::Kind::kAck, h.seq});
     }
   }

@@ -31,17 +31,18 @@ inline constexpr FunctionId kIngressEntry{0xFFFF1000};
 
 class PalladiumIngress : public IngressFrontend {
  public:
+  /// The gateway's node on the RDMA fabric.
+  static constexpr NodeId kNode{200};
+
   struct Config {
-    NodeId node{200};
     int initial_workers = 1;
     int max_workers = 8;
     bool autoscale = false;
-    int srq_fill = 256;
-    int rc_connections = 2;
     /// Request-level recovery: if no response arrives within the deadline
     /// the gateway re-sends the request (at-least-once; the data plane
     /// suppresses duplicates where it can and the gateway tolerates
-    /// duplicate responses). After two re-sends it answers 504.
+    /// duplicate responses). After kMaxRetries re-sends
+    /// (palladium_ingress.cpp) it answers 504.
     /// 0 disables deadlines (the pre-fault-model behaviour).
     sim::Duration request_deadline = 2'000'000;  // 2 ms
     /// Optional per-tenant admission gate, consulted before a request

@@ -162,8 +162,8 @@ void ProxyIngress::finish_setup() {
   PD_CHECK(!targets_.empty(), "no chains exposed");
   setup_done_ = true;
 
-  if (!cluster_.ethernet().attached(config_.node)) {
-    cluster_.ethernet().attach(config_.node);
+  if (!cluster_.ethernet().attached(kNode)) {
+    cluster_.ethernet().attach(kNode);
   }
 
   // One gateway per worker node hosting a chain's first hop; one TCP
@@ -184,7 +184,7 @@ void ProxyIngress::finish_setup() {
     gateways_.push_back(std::move(gw));
 
     proto::TcpEndpoint a;  // proxy side
-    a.node = config_.node;
+    a.node = kNode;
     a.stack = config_.stack;
     if (config_.stack == proto::StackKind::kKernel) {
       a.cores = &cores_;  // RSS across the kernel's cores
@@ -260,7 +260,7 @@ int ProxyIngress::attach_client(NodeId client_node, sim::Core& client_core,
     clients_[static_cast<std::size_t>(id)]->to_client(bytes);
   };
   proto::TcpEndpoint b;
-  b.node = config_.node;
+  b.node = kNode;
   b.stack = config_.stack;
   if (config_.stack == proto::StackKind::kKernel) {
     b.cores = &cores_;

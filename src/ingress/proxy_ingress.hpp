@@ -56,8 +56,10 @@ class WorkerGateway {
 
 class ProxyIngress : public IngressFrontend {
  public:
+  /// The proxy's node on the Ethernet fabric.
+  static constexpr NodeId kNode{201};
+
   struct Config {
-    NodeId node{201};
     proto::StackKind stack = proto::StackKind::kKernel;
     /// Kernel mode: cores available to softirq/NGINX (RSS spread).
     /// F-stack mode: dedicated pinned worker cores.

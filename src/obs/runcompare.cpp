@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -18,13 +19,62 @@ class Parser {
 
   JsonValue parse_document() {
     JsonValue v = parse_value();
-    skip_ws();
-    PD_CHECK(pos_ == text_.size(),
-             "trailing garbage at byte " << pos_ << " of JSON input");
+    expect_end();
     return v;
   }
 
+  void for_each_element(std::string_view key,
+                        const std::function<void(const JsonValue&)>& fn) {
+    skip_ws();
+    if (peek() != '{') fail("expected a top-level object");
+    ++pos_;
+    bool found = false;
+    skip_ws();
+    if (peek() != '}') {
+      while (true) {
+        skip_ws();
+        const std::string k = parse_string();
+        skip_ws();
+        expect(':');
+        if (k == key && !found) {
+          found = true;
+          for_each_in_array(fn);
+        } else {
+          (void)parse_value();
+        }
+        skip_ws();
+        if (peek() != ',') break;
+        ++pos_;
+      }
+    }
+    expect('}');
+    expect_end();
+    PD_CHECK(found, "JSON object lacks the array member " << key);
+  }
+
  private:
+  void for_each_in_array(const std::function<void(const JsonValue&)>& fn) {
+    skip_ws();
+    if (peek() != '[') fail("member is not an array");
+    ++pos_;
+    skip_ws();
+    if (peek() != ']') {
+      while (true) {
+        fn(parse_value());
+        skip_ws();
+        if (peek() != ',') break;
+        ++pos_;
+      }
+    }
+    expect(']');
+  }
+
+  void expect_end() {
+    skip_ws();
+    PD_CHECK(pos_ == text_.size(),
+             "trailing garbage at byte " << pos_ << " of JSON input");
+  }
+
   [[noreturn]] void fail(const char* what) {
     std::ostringstream oss;
     oss << what << " at byte " << pos_ << " of JSON input";
@@ -248,6 +298,11 @@ const JsonValue* JsonValue::find(std::string_view key) const {
 
 JsonValue json_parse(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+void json_for_each_element(std::string_view text, std::string_view key,
+                           const std::function<void(const JsonValue&)>& fn) {
+  Parser(text).for_each_element(key, fn);
 }
 
 JsonValue json_parse_file(const std::string& path) {

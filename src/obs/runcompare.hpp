@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -45,6 +46,15 @@ struct JsonValue {
 /// input (with byte offset). Handles the constructs our exporters emit
 /// plus \uXXXX escapes.
 JsonValue json_parse(std::string_view text);
+
+/// Parse a complete JSON document whose top level is an object and hand
+/// each element of its array member `key` to `fn` as soon as it is parsed,
+/// without building the whole tree: memory holds one element however long
+/// the array is. Other members are parsed and dropped. Throws CheckFailure
+/// on malformed input, a non-object top level, or a missing or non-array
+/// `key`.
+void json_for_each_element(std::string_view text, std::string_view key,
+                           const std::function<void(const JsonValue&)>& fn);
 JsonValue json_parse_file(const std::string& path);
 
 /// One scalar leaf of a flattened document.

@@ -31,17 +31,10 @@ std::string string_of(const JsonValue& v, std::string_view key) {
 }  // namespace
 
 std::vector<ReadSpan> read_chrome_trace(const std::string& json) {
-  const JsonValue doc = json_parse(json);
-  PD_CHECK(doc.kind == JsonValue::Kind::kObject,
-           "trace JSON must be an object");
-  const JsonValue* events = doc.find("traceEvents");
-  PD_CHECK(events != nullptr && events->kind == JsonValue::Kind::kArray,
-           "trace JSON lacks a traceEvents array");
-
   static const JsonValue kNoArgs;
   std::map<int, std::string> tid_names;
   std::vector<ReadSpan> spans;
-  for (const JsonValue& ev : events->elements) {
+  json_for_each_element(json, "traceEvents", [&](const JsonValue& ev) {
     PD_CHECK(ev.kind == JsonValue::Kind::kObject,
              "trace event must be an object");
     const JsonValue* args = ev.find("args");
@@ -62,7 +55,7 @@ std::vector<ReadSpan> read_chrome_trace(const std::string& json) {
       s.parent_id = static_cast<std::uint32_t>(number_of(a, "parent_id"));
       spans.push_back(std::move(s));
     }
-  }
+  });
   return spans;
 }
 

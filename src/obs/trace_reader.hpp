@@ -2,9 +2,10 @@
 //
 // Shared by the end-to-end tracing test (which asserts span nesting and hop
 // order on a parsed trace) and the tools/trace_inspect CLI. The document is
-// parsed with obs::json_parse; the reader then walks the exporter's shape --
-// a top-level object with a "traceEvents" array of event objects whose ids
-// sit in a one-level "args" object.
+// parsed with obs::json_for_each_element, one event at a time, so memory
+// beyond the input text is the returned spans, not a tree of the whole
+// document. The exporter's shape: a top-level object with a "traceEvents"
+// array of event objects whose ids sit in a one-level "args" object.
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,8 @@
 // Changing a constant here recalibrates every benchmark consistently.
 #pragma once
 
+#include <cstddef>
+
 #include "common/units.hpp"
 #include "sim/time.hpp"
 
@@ -27,6 +29,9 @@ inline constexpr double kHostCoreSpeed = 1.0;
 /// DPU Arm A72 core @2.0 GHz vs x86 @3.7 GHz. §4.3.1 notes the streamlined
 /// ISA "compensates somewhat"; effective throughput ratio ~0.5.
 inline constexpr double kDpuCoreSpeed = 0.5;
+
+/// Arm A72 cores per Bluefield-2 DPU.
+inline constexpr std::size_t kDpuCores = 8;
 
 /// Relative jitter on per-hop function compute times (cache effects,
 /// branchy handlers): each hop draws a factor uniform in [1-j, 1+j).

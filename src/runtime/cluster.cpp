@@ -57,7 +57,7 @@ WorkerNode::WorkerNode(Cluster& cluster, NodeId id)
     rnic_ = std::make_unique<rdma::Rnic>(*cluster.rdma_net_, id, mem_);
   }
   if (sys == SystemKind::kPalladiumDne || sys == SystemKind::kPalladiumOnPath) {
-    dpu_ = std::make_unique<dpu::Dpu>(sched_, id, cfg.dpu_cores);
+    dpu_ = std::make_unique<dpu::Dpu>(sched_, id, cost::kDpuCores);
   }
 
   switch (sys) {

@@ -48,7 +48,6 @@ struct ClusterConfig {
   SystemKind system = SystemKind::kPalladiumDne;
   core::EngineConfig engine{};      ///< Palladium engine tuning
   std::size_t cpu_cores_per_node = 16;
-  std::size_t dpu_cores = 8;
   std::size_t pool_buffers = 1024;  ///< buffers per tenant pool per node
   Bytes buffer_bytes = 16 * 1024;
   std::uint64_t seed = 0x9E3779B9;

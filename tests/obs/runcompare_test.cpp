@@ -35,6 +35,39 @@ TEST(JsonParse, HandlesExporterConstructs) {
   EXPECT_THROW(obs::json_parse("{} trailing"), CheckFailure);
 }
 
+TEST(JsonParse, ForEachElementStreamsOneArrayMember) {
+  std::vector<double> seen;
+  const auto collect = [&](const obs::JsonValue& e) {
+    seen.push_back(e.number);
+  };
+  obs::json_for_each_element(
+      R"({"meta": {"x": [9]}, "items": [1, 2, 3], "tail": "t"})", "items",
+      collect);
+  EXPECT_EQ(seen, (std::vector<double>{1, 2, 3}));
+  seen.clear();
+  obs::json_for_each_element(R"({"items": []})", "items", collect);
+  EXPECT_TRUE(seen.empty());
+
+  // Same strictness as json_parse, plus the shape requirements.
+  EXPECT_THROW(obs::json_for_each_element(R"({"items": [1,]})", "items",
+                                          collect),
+               CheckFailure);
+  EXPECT_THROW(obs::json_for_each_element(R"({"items": [1],})", "items",
+                                          collect),
+               CheckFailure);
+  EXPECT_THROW(obs::json_for_each_element(R"({"items": [1]} x)", "items",
+                                          collect),
+               CheckFailure);
+  EXPECT_THROW(obs::json_for_each_element("[1]", "items", collect),
+               CheckFailure);
+  EXPECT_THROW(obs::json_for_each_element(R"({"other": [1]})", "items",
+                                          collect),
+               CheckFailure);
+  EXPECT_THROW(obs::json_for_each_element(R"({"items": 1})", "items",
+                                          collect),
+               CheckFailure);
+}
+
 TEST(JsonFlatten, DottedPathsAndArrayIndices) {
   const auto flat = obs::flatten_json(
       obs::json_parse(R"({"gate": {"p50": 1.0}, "rows": [[5, 6]], "e": {}})"));
